@@ -234,24 +234,14 @@ def _network_config(settings: dict) -> NetworkConfig:
     return NetworkConfig(init_seed=settings["init_seed"], **fields)
 
 
-def _make_batch(settings: dict, config: NetworkConfig, seed: Optional[int] = None) -> np.ndarray:
-    source = settings["input"]
-    batch_size = settings["batch_size"]
-    data_seed = settings["_data_seed"] if seed is None else seed
-    if source == "random":
-        return random_normal_batch((batch_size, *config.input_shape), data_seed)
-    if source.startswith("cifar10:"):
-        if config.input_shape != (3, 32, 32):
-            raise ValueError(f"cifar10 input needs input_shape 3,32,32, not {config.input_shape}")
-        return load_cifar10_batch(source[len("cifar10:"):], batch_size, data_seed)
-    raise ValueError(f"bad --input {source!r}; expected random or cifar10:<dir>")
-
-
 def _batch_factory(settings: dict, config: NetworkConfig):
+    """Parse --input into a (batch_size, seed) -> batch callable."""
     source = settings["input"]
     if source == "random":
         return lambda batch_size, seed: random_normal_batch((batch_size, *config.input_shape), seed)
     if source.startswith("cifar10:"):
+        if config.input_shape != (3, 32, 32):
+            raise ValueError(f"cifar10 input needs input_shape 3,32,32, not {config.input_shape}")
         directory = source[len("cifar10:"):]
         return lambda batch_size, seed: load_cifar10_batch(directory, batch_size, seed)
     raise ValueError(f"bad --input {source!r}; expected random or cifar10:<dir>")
@@ -351,7 +341,7 @@ def _print_chosen(result: SearchResult, *, with_accuracy: bool) -> None:
 def _cmd_score(settings: dict) -> int:
     genotype = parse_arch(settings["arch"])
     config = _network_config(settings)
-    batch = _make_batch(settings, config)
+    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
     want_dump = settings.get("dump_kernel")
     try:
         codes = forward_collect_codes(build_network(genotype, config), batch)
@@ -386,7 +376,7 @@ def _cmd_dump_kernel(settings: dict) -> int:
     settings.setdefault("dump_kernel", "raw")
     genotype = parse_arch(settings["arch"])
     config = _network_config(settings)
-    batch = _make_batch(settings, config)
+    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
     codes = forward_collect_codes(build_network(genotype, config), batch)
     kernel = hamming_kernel(codes)
     matrix = kernel.matrix if settings["dump_kernel"] == "raw" else normalize_kernel(kernel)
@@ -398,7 +388,7 @@ def _cmd_search(settings: dict) -> int:
     if settings["n"] < 1:
         raise ValueError("--n must be at least 1")
     config = _network_config(settings)
-    batch = _make_batch(settings, config)
+    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
     scorer = make_scorer(config, batch)
     jobs = settings["jobs"]
     if jobs > 1:
@@ -431,7 +421,7 @@ def _cmd_area(settings: dict) -> int:
     table = _load_table(settings)
     evaluator = table.evaluator(settings["metric"])
     config = _network_config(settings)
-    batch = _make_batch(settings, config)
+    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
     result = area_search(make_scorer(config, batch), evaluator, settings["pool"],
                          settings["pop"], settings["tournament"],
                          _resolve_budget(settings), settings["_arch_seed"])
@@ -443,7 +433,7 @@ def _cmd_area(settings: dict) -> int:
 def _cmd_correlate(settings: dict) -> int:
     table = _load_table(settings)
     config = _network_config(settings)
-    batch = _make_batch(settings, config)
+    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
     report = correlate_space(
         table,
         lambda genotype, data: score_network(genotype, config, data),

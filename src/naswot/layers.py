@@ -5,6 +5,19 @@ height, width).  Convolutions carry no bias and batch normalization uses
 current-batch statistics only, so the whole pipeline is positively
 homogeneous: scaling an input batch by a power of two scales every
 linear-layer output exactly, bit for bit.
+
+Numerical contract: ``conv2d`` and ``avg_pool2d`` return the same bits
+and the same strides as the sliding-window expressions they replaced
+(kept as references in ``tests/oracles.py``), on the NCHW and NHWC
+memory layouts the forward pass produces, so every score is unchanged.
+``conv2d`` hands BLAS the same im2col matrix, staged channel-major and
+passed transposed.  The stride-1 pool adds each window row, then the
+row sums, which is the order numpy's window mean uses on every memory
+layout but fully reversed (W, H, C, N) memory, which the forward pass
+never produces.  The stride-2 pool still takes that window mean: numpy
+sums a 2x2 window in one of four orders, chosen by which axis is
+innermost in memory, and the stored reference scores depend on that
+order.
 """
 
 from __future__ import annotations
@@ -44,10 +57,17 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0
         raise ShapeMismatch(f"kernel must be 1x1 or 3x3, got {kh}x{kw}")
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    _, _, oh, ow, _, _ = windows.shape
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c_in * kh * kw)
-    out = cols @ weights.reshape(c_out, -1).T
+    oh = (x.shape[2] - kh) // stride + 1
+    ow = (x.shape[3] - kw) // stride + 1
+    # im2col staged as (C_in, kh, kw, N, oh, ow): one contiguous block
+    # copy per kernel tap; its transpose is the (N*oh*ow, C_in*kh*kw)
+    # column matrix in F order
+    cols_t = np.empty((c_in, kh, kw, n, oh, ow), dtype=x.dtype)
+    x_t = x.transpose(1, 0, 2, 3)
+    for dy in range(kh):
+        for dx in range(kw):
+            cols_t[:, dy, dx] = x_t[:, :, dy:dy + stride * (oh - 1) + 1:stride, dx:dx + stride * (ow - 1) + 1:stride]
+    out = cols_t.reshape(c_in * kh * kw, n * oh * ow).T @ weights.reshape(c_out, -1).T
     return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
 
@@ -82,8 +102,23 @@ def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) ->
         raise ShapeMismatch(f"need a 4-d input, got {x.shape}")
     if padding:
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-    return windows.mean(axis=(4, 5))
+    if stride != 1 or kernel == 1:
+        # numpy's window mean sums a strided window in an order set by
+        # which axis is innermost in memory, and the reference scores
+        # encode that order; a 1x1 window has nothing to add up
+        windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+        return windows.mean(axis=(4, 5))
+    oh = x.shape[2] - kernel + 1
+    ow = x.shape[3] - kernel + 1
+    rows = x[..., 0:ow] + x[..., 1:1 + ow]
+    for dx in range(2, kernel):
+        rows += x[..., dx:dx + ow]
+    del x  # frees the padded copy before the second full-size buffer
+    out = rows[:, :, 0:oh] + rows[:, :, 1:1 + oh]
+    for dy in range(2, kernel):
+        out += rows[:, :, dy:dy + oh]
+    out /= kernel * kernel
+    return out
 
 
 def global_avg_pool(x: np.ndarray) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 Everything here is written the slow, obvious way (per-element loops,
 textbook formulas) so that agreement with the fast library paths is
-meaningful evidence rather than a tautology.
+meaningful evidence rather than a tautology.  The two window
+expressions at the end are the exception: they are the earlier
+vectorized conv and pool, which the faster ones must match bit for bit.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def kernel_per_bit(bits: np.ndarray) -> np.ndarray:
@@ -116,3 +119,28 @@ def avg_pool_loops(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.
                     window = padded[b, ch, i * stride:i * stride + kernel, j * stride:j * stride + kernel]
                     out[b, ch, i, j] = window.sum() / (kernel * kernel)
     return out
+
+
+def conv2d_window_im2col(x: np.ndarray, weights: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """The im2col conv that ``conv2d`` must match bit for bit, strides included.
+
+    Gathers a C-ordered (N*oh*ow, C_in*k*k) column matrix from a
+    sliding-window view and multiplies it by the flattened kernel.
+    """
+    n, c_in, _, _ = x.shape
+    c_out, _, kh, kw = weights.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    _, _, oh, ow, _, _ = windows.shape
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c_in * kh * kw)
+    out = cols @ weights.reshape(c_out, -1).T
+    return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
+
+
+def avg_pool_window_mean(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
+    """The window-mean pool that ``avg_pool2d`` must match bit for bit, strides included."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    return windows.mean(axis=(4, 5))

@@ -233,6 +233,16 @@ class TestAblateCommand:
         run(capsys, *args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_cifar10_input_shape_error_matches_score(self, capsys, tmp_path):
+        # enough zero records for a desk batch, so only the shape check can fail
+        (tmp_path / "data_batch_1.bin").write_bytes(bytes(8 * 3073))
+        source = f"cifar10:{tmp_path}"
+        _, _, score_err = run(capsys, "score", CONV_ARCH, *DESK, "--input", source)
+        code, _, err = run(capsys, "ablate", CONV_ARCH, *DESK, "--input", source, "--mode", "inits",
+                           "--repeats", "1", "--out", str(tmp_path / "ab.csv"))
+        assert code == 1
+        assert err == score_err == "error: ValueError: cifar10 input needs input_shape 3,32,32, not (3, 8, 8)\n"
+
     def test_missing_out_rejected(self, capsys):
         code, _, err = run(capsys, "ablate", CONV_ARCH, *DESK, "--mode", "inits")
         assert code == 1

@@ -11,7 +11,51 @@ from naswot.layers import (
     relu,
 )
 
-from oracles import avg_pool_loops, batchnorm_two_pass, conv2d_loops
+from naswot.network import NetworkConfig
+
+from oracles import (
+    avg_pool_loops,
+    avg_pool_window_mean,
+    batchnorm_two_pass,
+    conv2d_loops,
+    conv2d_window_im2col,
+)
+
+# (config, batch size) of the full and desk presets at their scoring batch
+PRESETS = [(NetworkConfig(), 128), (NetworkConfig.desk(), 32)]
+
+
+def conv_shapes():
+    """Every (N, C_in, C_out, k, stride, H) a preset's forward pass convolves."""
+    shapes = set()
+    for config, n in PRESETS:
+        c_in, h, _ = config.input_shape
+        c = config.stem_channels
+        shapes.add((n, c_in, c, 3, 1, h))
+        for stage in range(config.stages):
+            shapes |= {(n, c, c, 3, 1, h), (n, c, c, 1, 1, h)}
+            if stage + 1 < config.stages:
+                shapes |= {(n, c, 2 * c, 3, 2, h), (n, 2 * c, 2 * c, 3, 1, h // 2), (n, c, 2 * c, 1, 1, h // 2)}
+                c, h = 2 * c, h // 2
+    return sorted(shapes)
+
+
+def pool_shapes():
+    """Every (N, C, H) a preset's stride-1 pools see; stride-2 pools see all but the last."""
+    return [(n, config.stem_channels << s, config.input_shape[1] >> s, s + 1 < config.stages)
+            for config, n in PRESETS for s in range(config.stages)]
+
+
+def in_layouts(x):
+    """The two memory layouts the forward pass feeds a layer: C-contiguous
+    NCHW, and the NCHW view of NHWC memory that conv2d and BN return."""
+    return x, np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def assert_same_bits_and_strides(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    assert np.array_equal(got, want)
 
 
 class TestConv2d:
@@ -46,6 +90,15 @@ class TestConv2d:
         want = conv2d_loops(x, weights, stride, padding)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("n,c_in,c_out,kernel,stride,h", conv_shapes())
+    def test_bit_identical_to_window_im2col(self, n, c_in, c_out, kernel, stride, h):
+        rng = np.random.default_rng([c_in, c_out, kernel, stride, h])
+        x = rng.standard_normal((n, c_in, h, h), dtype=np.float32)
+        weights = rng.standard_normal((c_out, c_in, kernel, kernel), dtype=np.float32)
+        for view in in_layouts(x):
+            assert_same_bits_and_strides(conv2d(view, weights, stride, kernel // 2),
+                                         conv2d_window_im2col(view, weights, stride, kernel // 2))
 
     def test_stride_two_halves_spatial_dims(self):
         x = np.zeros((1, 2, 8, 8), dtype=np.float32)
@@ -111,6 +164,15 @@ class TestPooling:
             got = avg_pool2d(x, kernel, stride, padding)
             want = avg_pool_loops(x, kernel, stride, padding)
             np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("n,c,h,downsamples", pool_shapes())
+    def test_bit_identical_to_window_mean(self, n, c, h, downsamples):
+        x = np.random.default_rng([c, h]).standard_normal((n, c, h, h), dtype=np.float32)
+        settings = [(3, 1, 1), (2, 2, 0)] if downsamples else [(3, 1, 1)]
+        for view in in_layouts(x):
+            for kernel, stride, padding in settings:
+                assert_same_bits_and_strides(avg_pool2d(view, kernel, stride, padding),
+                                             avg_pool_window_mean(view, kernel, stride, padding))
 
     def test_pooling_is_linear(self):
         rng = np.random.default_rng(4)
