@@ -32,14 +32,15 @@ from .benchdata import (
     random_normal_batch,
 )
 from .network import (
+    Network,
     NetworkConfig,
     NonFiniteActivation,
     build_network,
     forward_collect_codes,
 )
-from .scoring import ScoreStatus, Score, hamming_kernel, logdet_score, make_scorer, normalize_kernel, score_network
+from .scoring import HammingKernel, ScoreStatus, Score, hamming_kernel, logdet_score, make_scorer, normalize_kernel, score_network
 from .search import SearchResult, area_search, naswot_search, rea_search
-from .searchspace import Genotype, MalformedArchString, as_generator, parse_arch, sample_uniform
+from .searchspace import MalformedArchString, as_generator, parse_arch, sample_uniform
 from .stats import (
     AllSingularGroup,
     DegenerateInput,
@@ -91,7 +92,6 @@ _KEY_TYPES = {
     "cells_per_stage": int,
     "input_shape": lambda text: tuple(int(t) for t in text.replace("x", ",").split(",")),
     "bn_epsilon": float,
-    "num_classes": int,
     "init_seed": int,
 }
 
@@ -115,10 +115,8 @@ _SUB_DEFAULTS = {
     "ablate": {"batch_size": 32},
 }
 
-_PRESETS = {
-    "full": {"stem_channels": 16, "cells_per_stage": 5, "input_shape": (3, 32, 32)},
-    "desk": {"stem_channels": 8, "cells_per_stage": 1, "input_shape": (3, 8, 8)},
-}
+# preset name -> NetworkConfig constructor taking field overrides
+_PRESETS = {"full": NetworkConfig, "desk": NetworkConfig.desk}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -211,6 +209,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         settings["arch"] = args.arch
     if args.command == "ablate" and "mode" not in settings:
         raise ValueError("ablate requires --mode")
+    if settings["jobs"] < 1:
+        raise ValueError(f"--jobs must be at least 1, got {settings['jobs']}")
 
     # one master seed, three independent streams: architecture
     # sampling, weight init, data sampling
@@ -227,11 +227,9 @@ def _network_config(settings: dict) -> NetworkConfig:
     preset = settings["preset"]
     if preset not in _PRESETS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(_PRESETS)}")
-    fields = dict(_PRESETS[preset])
-    for key in ("stem_channels", "cells_per_stage", "input_shape", "bn_epsilon", "num_classes"):
-        if key in settings:
-            fields[key] = settings[key]
-    return NetworkConfig(init_seed=settings["init_seed"], **fields)
+    fields = {key: settings[key] for key in ("stem_channels", "cells_per_stage", "input_shape", "bn_epsilon")
+              if key in settings}
+    return _PRESETS[preset](init_seed=settings["init_seed"], **fields)
 
 
 def _batch_factory(settings: dict, config: NetworkConfig):
@@ -245,6 +243,19 @@ def _batch_factory(settings: dict, config: NetworkConfig):
         directory = source[len("cifar10:"):]
         return lambda batch_size, seed: load_cifar10_batch(directory, batch_size, seed)
     raise ValueError(f"bad --input {source!r}; expected random or cifar10:<dir>")
+
+
+def _require_out(settings: dict, action: str) -> None:
+    if settings.get("out") is None:
+        raise ValueError(f"{action} requires --out <path>")
+
+
+def _network_and_batch(settings: dict) -> tuple[Network, np.ndarray]:
+    """The settings' arch built at their config, and their input batch."""
+    genotype = parse_arch(settings["arch"])
+    config = _network_config(settings)
+    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
+    return build_network(genotype, config), batch
 
 
 def _load_table(settings: dict) -> EvaluatorTable:
@@ -285,7 +296,7 @@ def _header_lines(settings: dict) -> list[str]:
     return lines
 
 
-def _write_csv(settings: dict, columns: Sequence[str], rows) -> None:
+def _write_csv(settings: dict, columns: Optional[Sequence[str]], rows) -> None:
     path = settings.get("out")
     if path is None:
         return
@@ -293,7 +304,8 @@ def _write_csv(settings: dict, columns: Sequence[str], rows) -> None:
         for line in _header_lines(settings):
             handle.write(line + "\n")
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
+        if columns is not None:
+            writer.writerow(columns)
         writer.writerows(rows)
 
 
@@ -339,48 +351,39 @@ def _print_chosen(result: SearchResult, *, with_accuracy: bool) -> None:
 
 
 def _cmd_score(settings: dict) -> int:
-    genotype = parse_arch(settings["arch"])
-    config = _network_config(settings)
-    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
     want_dump = settings.get("dump_kernel")
+    if want_dump:
+        _require_out(settings, "kernel dump")
+    net, batch = _network_and_batch(settings)
     try:
-        codes = forward_collect_codes(build_network(genotype, config), batch)
+        codes = forward_collect_codes(net, batch)
     except NonFiniteActivation:
-        print(f"arch {genotype}")
+        print(f"arch {net.genotype}")
         print(f"status {ScoreStatus.NON_FINITE.name}")
         if want_dump:
             raise
         return 0
     kernel = hamming_kernel(codes)
     score = logdet_score(kernel)
-    print(f"arch {genotype}")
+    print(f"arch {net.genotype}")
     print(f"status {score.status.name}")
     if score.is_valid:
         print(f"score {_fmt6(score.value)}")
     if want_dump:
-        _dump_kernel_csv(settings, kernel.matrix if want_dump == "raw" else normalize_kernel(kernel))
+        _dump_kernel_csv(settings, kernel)
     return 0
 
 
-def _dump_kernel_csv(settings: dict, matrix: np.ndarray) -> None:
-    if settings.get("out") is None:
-        raise ValueError("kernel dump requires --out <path>")
-    with Path(settings["out"]).open("w", newline="", encoding="utf-8") as handle:
-        for line in _header_lines(settings):
-            handle.write(line + "\n")
-        for row in matrix:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+def _dump_kernel_csv(settings: dict, kernel: HammingKernel) -> None:
+    matrix = kernel.matrix if settings["dump_kernel"] == "raw" else normalize_kernel(kernel)
+    _write_csv(settings, None, ([repr(float(v)) for v in row] for row in matrix))
 
 
 def _cmd_dump_kernel(settings: dict) -> int:
     settings.setdefault("dump_kernel", "raw")
-    genotype = parse_arch(settings["arch"])
-    config = _network_config(settings)
-    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
-    codes = forward_collect_codes(build_network(genotype, config), batch)
-    kernel = hamming_kernel(codes)
-    matrix = kernel.matrix if settings["dump_kernel"] == "raw" else normalize_kernel(kernel)
-    _dump_kernel_csv(settings, matrix)
+    _require_out(settings, "kernel dump")
+    net, batch = _network_and_batch(settings)
+    _dump_kernel_csv(settings, hamming_kernel(forward_collect_codes(net, batch)))
     return 0
 
 
@@ -454,8 +457,7 @@ def _cmd_correlate(settings: dict) -> int:
 
 
 def _cmd_ablate(settings: dict) -> int:
-    if settings.get("out") is None:
-        raise ValueError("ablate requires --out <path>")
+    _require_out(settings, "ablate")
     genotype = parse_arch(settings["arch"])
     config = _network_config(settings)
     groups = ablation_run(

@@ -30,9 +30,6 @@ __all__ = [
     "conv2d",
     "batchnorm_batchstats",
     "avg_pool2d",
-    "global_avg_pool",
-    "linear",
-    "relu",
 ]
 
 
@@ -119,19 +116,3 @@ def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) ->
         out += rows[:, :, dy:dy + oh]
     out /= kernel * kernel
     return out
-
-
-def global_avg_pool(x: np.ndarray) -> np.ndarray:
-    """Collapse the spatial dimensions to one mean per channel: (N, C)."""
-    return x.mean(axis=(2, 3))
-
-
-def linear(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Fully connected map of (N, F) features by (out, F) weights, no bias."""
-    if x.shape[1] != weights.shape[1]:
-        raise ShapeMismatch(f"{x.shape[1]} features vs weight fan-in {weights.shape[1]}")
-    return x @ weights.T
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)

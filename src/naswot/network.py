@@ -6,7 +6,7 @@ A network is built from one Genotype repeated through a fixed skeleton:
     -> stage 1: cells_per_stage cells
     -> residual downsample (stride 2, channels x2)
     -> stage 2 -> residual downsample -> stage 3
-    -> BN + ReLU -> global average pool -> linear head
+    -> BN + ReLU
 
 Each cell realizes the genotype's 6 edges on the 4-node DAG; a node's
 state is the sum of its incoming edge outputs.  Convolution edges are
@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import (
-    avg_pool2d,
-    batchnorm_batchstats,
-    conv2d,
-    global_avg_pool,
-    linear,
-)
+from .layers import avg_pool2d, batchnorm_batchstats, conv2d
 from .searchspace import EDGES, Genotype, OpKind
 
 __all__ = [
@@ -41,8 +35,6 @@ __all__ = [
     "forward_collect_codes",
     "count_relu_units",
 ]
-
-Shape = tuple[int, int, int]
 
 
 class NonFiniteActivation(ArithmeticError):
@@ -57,24 +49,20 @@ class NetworkConfig:
 
     stem_channels: int = 16
     cells_per_stage: int = 5
-    stages: int = 3
-    input_shape: Shape = (3, 32, 32)
+    input_shape: tuple[int, int, int] = (3, 32, 32)
     bn_epsilon: float = 1e-5
     init_seed: int = 0
-    num_classes: int = 10
 
     def __post_init__(self) -> None:
-        if self.stem_channels < 1 or self.cells_per_stage < 1 or self.num_classes < 1:
-            raise ValueError("channel, cell, and class counts must be positive")
-        if self.stages != 3:
-            raise ValueError("the skeleton is fixed at 3 stages")
+        if self.stem_channels < 1 or self.cells_per_stage < 1:
+            raise ValueError("channel and cell counts must be positive")
         c, h, w = self.input_shape
         if c < 1 or h < 1 or w < 1:
             raise ValueError(f"bad input shape {self.input_shape}")
         if h % 4 or w % 4:
             raise ValueError("input height/width must be multiples of 4 (two stride-2 blocks)")
-        if self.bn_epsilon < 0:
-            raise ValueError("bn_epsilon must be non-negative")
+        if not (math.isfinite(self.bn_epsilon) and self.bn_epsilon >= 0):
+            raise ValueError(f"bn_epsilon must be finite and non-negative, got {self.bn_epsilon}")
 
     @classmethod
     def desk(cls, **overrides) -> "NetworkConfig":
@@ -132,8 +120,8 @@ class _CodeRecorder:
 
 
 # ---------------------------------------------------------------------------
-# Layer graph.  Every piece answers forward(x, recorder), out_shape(shape)
-# and relu_units(shape); composites walk their children for all three.
+# Layer graph.  Every piece answers forward(x, recorder); composites
+# walk their children.
 # ---------------------------------------------------------------------------
 
 
@@ -146,16 +134,6 @@ class Conv:
     def forward(self, x, recorder):
         return conv2d(x, self.weights, self.stride, self.padding)
 
-    def out_shape(self, shape: Shape) -> Shape:
-        _, h, w = shape
-        k = self.weights.shape[2]
-        oh = (h + 2 * self.padding - k) // self.stride + 1
-        ow = (w + 2 * self.padding - k) // self.stride + 1
-        return (self.weights.shape[0], oh, ow)
-
-    def relu_units(self, shape: Shape) -> int:
-        return 0
-
 
 class BatchNorm:
     def __init__(self, epsilon: float) -> None:
@@ -164,24 +142,12 @@ class BatchNorm:
     def forward(self, x, recorder):
         return batchnorm_batchstats(x, self.epsilon)
 
-    def out_shape(self, shape: Shape) -> Shape:
-        return shape
-
-    def relu_units(self, shape: Shape) -> int:
-        return 0
-
 
 class ReLU:
     def forward(self, x, recorder):
         if recorder is not None:
             recorder.record(x)
         return np.maximum(x, 0.0)
-
-    def out_shape(self, shape: Shape) -> Shape:
-        return shape
-
-    def relu_units(self, shape: Shape) -> int:
-        return math.prod(shape)
 
 
 class AvgPool:
@@ -193,27 +159,12 @@ class AvgPool:
     def forward(self, x, recorder):
         return avg_pool2d(x, self.kernel, self.stride, self.padding)
 
-    def out_shape(self, shape: Shape) -> Shape:
-        c, h, w = shape
-        oh = (h + 2 * self.padding - self.kernel) // self.stride + 1
-        ow = (w + 2 * self.padding - self.kernel) // self.stride + 1
-        return (c, oh, ow)
-
-    def relu_units(self, shape: Shape) -> int:
-        return 0
-
 
 class Zero:
     """The zeroise edge: a zero tensor of the input's shape."""
 
     def forward(self, x, recorder):
         return np.zeros_like(x)
-
-    def out_shape(self, shape: Shape) -> Shape:
-        return shape
-
-    def relu_units(self, shape: Shape) -> int:
-        return 0
 
 
 class Sequential:
@@ -225,18 +176,6 @@ class Sequential:
             x = layer.forward(x, recorder)
         return x
 
-    def out_shape(self, shape: Shape) -> Shape:
-        for layer in self.layers:
-            shape = layer.out_shape(shape)
-        return shape
-
-    def relu_units(self, shape: Shape) -> int:
-        total = 0
-        for layer in self.layers:
-            total += layer.relu_units(shape)
-            shape = layer.out_shape(shape)
-        return total
-
 
 class Cell:
     """One genotype cell; node state = sum of incoming edge outputs."""
@@ -244,7 +183,7 @@ class Cell:
     def __init__(self, edge_ops: list[Sequential]) -> None:
         self.edge_ops = edge_ops  # aligned with searchspace.EDGES
 
-    def _node_states(self, x, recorder):
+    def forward(self, x, recorder):
         states = {0: x}
         for dest in (1, 2, 3):
             acc = None
@@ -254,16 +193,7 @@ class Cell:
                 y = self.edge_ops[k].forward(states[src], recorder)
                 acc = y if acc is None else acc + y
             states[dest] = acc
-        return states
-
-    def forward(self, x, recorder):
-        return self._node_states(x, recorder)[3]
-
-    def out_shape(self, shape: Shape) -> Shape:
-        return shape  # every edge op preserves shape within a stage
-
-    def relu_units(self, shape: Shape) -> int:
-        return sum(op.relu_units(shape) for op in self.edge_ops)
+        return states[3]
 
 
 class DownsampleBlock:
@@ -275,37 +205,6 @@ class DownsampleBlock:
 
     def forward(self, x, recorder):
         return self.main.forward(x, recorder) + self.shortcut.forward(x, recorder)
-
-    def out_shape(self, shape: Shape) -> Shape:
-        return self.main.out_shape(shape)
-
-    def relu_units(self, shape: Shape) -> int:
-        return self.main.relu_units(shape)  # the shortcut has no ReLU
-
-
-class GlobalAvgPool:
-    def forward(self, x, recorder):
-        return global_avg_pool(x)
-
-    def out_shape(self, shape: Shape) -> Shape:
-        return (shape[0], 1, 1)
-
-    def relu_units(self, shape: Shape) -> int:
-        return 0
-
-
-class Linear:
-    def __init__(self, weights: np.ndarray) -> None:
-        self.weights = weights
-
-    def forward(self, x, recorder):
-        return linear(x, self.weights)
-
-    def out_shape(self, shape: Shape) -> Shape:
-        return (self.weights.shape[0], 1, 1)
-
-    def relu_units(self, shape: Shape) -> int:
-        return 0
 
 
 @dataclass
@@ -320,8 +219,6 @@ class Network:
         x = batch
         for block in self.blocks:
             x = block.forward(x, recorder)
-        if not np.isfinite(x).all():
-            raise NonFiniteActivation("NaN or Inf in network output")
         return x
 
 
@@ -379,7 +276,7 @@ def build_network(genotype: Genotype, config: NetworkConfig) -> Network:
 
     Structure and weights are a pure function of (genotype, config):
     weight arrays are drawn from a single seeded stream in fixed build
-    order (stem, stage cells, downsample blocks, head).
+    order (stem, stage cells, downsample blocks).
     """
     rng = np.random.default_rng(config.init_seed)
     eps = config.bn_epsilon
@@ -387,23 +284,21 @@ def build_network(genotype: Genotype, config: NetworkConfig) -> Network:
     channels = config.stem_channels
 
     blocks: list = [Sequential([_conv_layer(rng, c_in, channels, 3, 1), BatchNorm(eps)])]
-    for stage in range(config.stages):
+    for stage in range(3):
         if stage > 0:
             blocks.append(_make_downsample(rng, channels, eps))
             channels *= 2
         for _ in range(config.cells_per_stage):
             blocks.append(_make_cell(genotype, rng, channels, eps))
-    head_w = _he_normal(rng, (config.num_classes, channels), fan_in=channels)
     blocks.append(Sequential([BatchNorm(eps), ReLU()]))
-    blocks.append(GlobalAvgPool())
-    blocks.append(Linear(head_w))
     return Network(genotype=genotype, config=config, blocks=blocks)
 
 
 def forward_collect_codes(net: Network, batch: np.ndarray) -> ActivationCodeMatrix:
     """Run the forward pass and return the packed activation codes.
 
-    Raises NonFiniteActivation if any activation is NaN or infinite.
+    Raises NonFiniteActivation if any ReLU pre-activation is NaN or
+    infinite; the last layer is a ReLU, so that covers the output too.
     """
     expected = net.config.input_shape
     if batch.ndim != 4 or batch.shape[1:] != expected:
@@ -415,11 +310,21 @@ def forward_collect_codes(net: Network, batch: np.ndarray) -> ActivationCodeMatr
     return recorder.codes()
 
 
-def count_relu_units(net: Network, input_shape: Shape | None = None) -> int:
-    """Total ReLU unit count N_A from shape propagation alone (no data)."""
-    shape = net.config.input_shape if input_shape is None else input_shape
+def count_relu_units(net: Network) -> int:
+    """Total ReLU unit count N_A from the genotype and config alone (no data).
+
+    Each conv edge leads with a ReLU over its stage's (C, H, W) map; each
+    downsample block has one before each of its two convs (the first at
+    the incoming size, the second at the halved one); the final ReLU
+    covers the last stage's map once.
+    """
+    conv_edges = sum(op in (OpKind.CONV_3X3, OpKind.CONV_1X1) for op in net.genotype.ops)
+    c = net.config.stem_channels
+    _, h, w = net.config.input_shape
     total = 0
-    for block in net.blocks:
-        total += block.relu_units(shape)
-        shape = block.out_shape(shape)
-    return total
+    for stage in range(3):
+        if stage > 0:
+            total += c * h * w + 2 * c * (h // 2) * (w // 2)
+            c, h, w = 2 * c, h // 2, w // 2
+        total += net.config.cells_per_stage * conv_edges * c * h * w
+    return total + c * h * w

@@ -186,27 +186,24 @@ def ablation_run(
         raise ValueError(f"mode must be one of {ABLATION_MODES}, got {mode!r}")
     if repeats < 2:
         raise ValueError("repeats must be at least 2")
-    factory = batch_factory if batch_factory is not None else _normal_factory(config)
-
-    if mode == "batches":
-        scores = [score_network(genotype, config, factory(batch_size, data_seed + r))
-                  for r in range(repeats)]
-        return {"batches": scores}
-    if mode == "random_inputs":
-        normal = _normal_factory(config)
-        scores = [score_network(genotype, config, normal(batch_size, data_seed + r))
-                  for r in range(repeats)]
-        return {"random_inputs": scores}
-    if mode == "inits":
-        batch = factory(batch_size, data_seed)
-        scores = [score_network(genotype, replace(config, init_seed=config.init_seed + r), batch)
-                  for r in range(repeats)]
-        return {"inits": scores}
-    return {
-        str(size): [score_network(genotype, config, factory(size, data_seed + r))
-                    for r in range(repeats)]
-        for size in ABLATION_BATCH_SIZES
-    }
+    if batch_factory is None or mode == "random_inputs":
+        batch_factory = _normal_factory(config)
+    if mode == "batch_sizes":
+        levels = [(str(size), size) for size in ABLATION_BATCH_SIZES]
+    else:
+        levels = [(mode, batch_size)]
+    groups: dict[str, list[Score]] = {}
+    for label, size in levels:
+        fixed_batch = batch_factory(size, data_seed) if mode == "inits" else None
+        scores = []
+        for r in range(repeats):
+            if mode == "inits":
+                run_config, batch = replace(config, init_seed=config.init_seed + r), fixed_batch
+            else:
+                run_config, batch = config, batch_factory(size, data_seed + r)
+            scores.append(score_network(genotype, run_config, batch))
+        groups[label] = scores
+    return groups
 
 
 def normalize_by_min(

@@ -62,9 +62,11 @@ class TestScoreCommand:
         assert err.rstrip().endswith("'|junk|'")  # message quoting stays balanced
 
     def test_dump_without_out_path_fails(self, capsys):
-        code, _, err = run(capsys, "score", CONV_ARCH, *DESK, "--dump-kernel", "raw")
+        # rejected before the forward pass, so nothing reaches stdout
+        code, out, err = run(capsys, "score", CONV_ARCH, *DESK, "--dump-kernel", "raw")
         assert code == 1
         assert "error:" in err
+        assert out == ""
 
 
 class TestDumpKernelCommand:
@@ -82,6 +84,16 @@ class TestDumpKernelCommand:
         run(capsys, "dump-kernel", CONV_ARCH, *DESK, "--out", str(a))
         run(capsys, "dump-kernel", CONV_ARCH, *DESK, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_without_out_path_fails(self, capsys, monkeypatch):
+        def forward_pass(*args):
+            raise AssertionError("the forward pass ran before the --out check")
+
+        monkeypatch.setattr("naswot.cli.forward_collect_codes", forward_pass)
+        code, out, err = run(capsys, "dump-kernel", CONV_ARCH, *DESK)
+        assert code == 1
+        assert err == "error: ValueError: kernel dump requires --out <path>\n"
+        assert out == ""
 
 
 class TestSearchCommand:
@@ -109,6 +121,13 @@ class TestSearchCommand:
         s = read_rows(serial)[1]
         p = read_rows(parallel)[1]
         assert s == p
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run(capsys, "search", *DESK, "--n", "2", "--jobs", jobs)
+        assert code == 1
+        assert err == f"error: ValueError: --jobs must be at least 1, got {jobs}\n"
+        assert out == ""
 
 
 class TestEvolutionCommands:
@@ -287,6 +306,15 @@ class TestConfigResolution:
         code, out, _ = run(capsys, "score", CONV_ARCH, "--config", str(cfg))
         assert code == 0
         assert "status VALID" in out
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_bn_epsilon_rejected(self, capsys, tmp_path, epsilon):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"preset=desk\nbatch_size=8\nbn_epsilon={epsilon}\n", encoding="utf-8")
+        code, out, err = run(capsys, "score", CONV_ARCH, "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error: ValueError:") and err.count("\n") == 1
+        assert out == ""
 
     def test_every_output_file_starts_with_config_echo(self, capsys, tmp_path, full_bench_csv):
         produced = []

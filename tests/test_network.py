@@ -33,11 +33,11 @@ class TestConfig:
         [
             {"stem_channels": 0},
             {"cells_per_stage": 0},
-            {"stages": 2},
             {"input_shape": (0, 8, 8)},
             {"input_shape": (3, 6, 8)},  # not divisible by the two stride-2 blocks
             {"bn_epsilon": -1e-6},
-            {"num_classes": 0},
+            {"bn_epsilon": float("nan")},
+            {"bn_epsilon": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -108,12 +108,6 @@ class TestBuildForward:
         codes = forward_collect_codes(net, batch).unpack()
         assert np.array_equal(codes[0], codes[3])
 
-    def test_logits_shape_is_batch_by_classes(self):
-        cfg = NetworkConfig.desk(num_classes=7)
-        net = build_network(parse_arch(EXAMPLE), cfg)
-        out = net.forward(normal_batch(4, cfg.input_shape, 6))
-        assert out.shape == (4, 7)
-
     def test_batch_shape_validated(self):
         net = build_network(parse_arch(EXAMPLE), NetworkConfig.desk())
         with pytest.raises(ValueError):
@@ -131,7 +125,7 @@ class TestBuildForward:
 # hand-derived relu-unit table for the desk skeleton (stem 8, one cell
 # per stage, 8x8 input).  Each conv edge leads with one ReLU over the
 # full (C, H, W) feature map; each downsample block has a ReLU before
-# each of its two convolutions; the head has one final ReLU.
+# each of its two convolutions; the skeleton ends in one final ReLU.
 def desk_unit_table(conv_edges: int) -> list[int]:
     return [
         conv_edges * 8 * 8 * 8,     # stage 1 cell      (8ch, 8x8)
@@ -154,12 +148,19 @@ class TestUnitCounts:
         assert count_relu_units(net) == sum(desk_unit_table(conv_edges=6))
 
     def test_counts_agree_with_forward_pass(self):
+        # square desk inputs, the full preset, and a non-square input;
+        # each config also gets the all-conv genotype (most ReLU sites)
         gen = as_generator(7)
-        cfg = NetworkConfig.desk()
-        batch = normal_batch(4, cfg.input_shape, 8)
-        for _ in range(20):
-            net = build_network(sample_uniform(gen), cfg)
-            assert count_relu_units(net) == forward_collect_codes(net, batch).n_units
+        all_conv = Genotype.uniform(OpKind.CONV_3X3)
+        for cfg, n, draws in [
+            (NetworkConfig.desk(), 4, 20),
+            (NetworkConfig(), 2, 3),
+            (NetworkConfig.desk(input_shape=(3, 12, 16)), 2, 5),
+        ]:
+            batch = normal_batch(n, cfg.input_shape, 8)
+            for genotype in [sample_uniform(gen) for _ in range(draws)] + [all_conv]:
+                net = build_network(genotype, cfg)
+                assert count_relu_units(net) == forward_collect_codes(net, batch).n_units
 
     def test_doubling_stem_channels_doubles_units(self):
         gen = as_generator(8)
