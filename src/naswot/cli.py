@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -29,7 +30,6 @@ from .benchdata import (
     TruncatedRecord,
     load_benchmark_csv,
     load_cifar10_batch,
-    random_normal_batch,
 )
 from .network import (
     Network,
@@ -47,6 +47,7 @@ from .stats import (
     EmptyGroup,
     ablation_run,
     correlate_space,
+    normal_batch_factory,
     normalize_by_min,
 )
 
@@ -236,7 +237,7 @@ def _batch_factory(settings: dict, config: NetworkConfig):
     """Parse --input into a (batch_size, seed) -> batch callable."""
     source = settings["input"]
     if source == "random":
-        return lambda batch_size, seed: random_normal_batch((batch_size, *config.input_shape), seed)
+        return normal_batch_factory(config)
     if source.startswith("cifar10:"):
         if config.input_shape != (3, 32, 32):
             raise ValueError(f"cifar10 input needs input_shape 3,32,32, not {config.input_shape}")
@@ -266,10 +267,12 @@ def _load_table(settings: dict) -> EvaluatorTable:
 
 def _resolve_budget(settings: dict) -> int:
     if "seconds" in settings:
-        cost = settings.get("eval_cost")
-        if cost is None or cost <= 0:
+        seconds, cost = settings["seconds"], settings.get("eval_cost")
+        if not 0 < seconds < math.inf:
+            raise ValueError(f"--seconds must be a positive finite time budget, got {seconds!r}")
+        if cost is None or not 0 < cost < math.inf:
             raise ValueError("--seconds needs a positive --eval-cost (assumed seconds per evaluation)")
-        return max(settings["pop"], int(settings["seconds"] / cost))
+        return max(settings["pop"], int(seconds / cost))
     return settings["budget"]
 
 

@@ -11,7 +11,12 @@ and the same strides as the sliding-window expressions they replaced
 (kept as references in ``tests/oracles.py``), on the NCHW and NHWC
 memory layouts the forward pass produces, so every score is unchanged.
 ``conv2d`` hands BLAS the same im2col matrix, staged channel-major and
-passed transposed.  The stride-1 pool adds each window row, then the
+passed transposed, one block of images at a time: each output row is
+the dot product of one image patch with one filter over the same K
+entries in the same order whichever block holds it, so blocking over
+the batch moves no bit.  ``tests/test_layers.py`` checks this at every
+preset conv shape and at batches ending inside, below and on a block
+edge.  The stride-1 pool adds each window row, then the
 row sums, which is the order numpy's window mean uses on every memory
 layout but fully reversed (W, H, C, N) memory, which the forward pass
 never produces.  The stride-2 pool still takes that window mean: numpy
@@ -33,6 +38,11 @@ __all__ = [
 ]
 
 
+# bytes of im2col columns per block of images: about one core's L2, so
+# each block's GEMM reads its columns from cache, not DRAM
+_BLOCK_BYTES = 2 << 20
+
+
 class ShapeMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
@@ -52,19 +62,29 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0
         raise ShapeMismatch(f"input has {c_in} channels, kernel expects {c_in_w}")
     if kh != kw or kh not in (1, 3):
         raise ShapeMismatch(f"kernel must be 1x1 or 3x3, got {kh}x{kw}")
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    oh = (x.shape[2] - kh) // stride + 1
-    ow = (x.shape[3] - kw) // stride + 1
-    # im2col staged as (C_in, kh, kw, N, oh, ow): one contiguous block
-    # copy per kernel tap; its transpose is the (N*oh*ow, C_in*kh*kw)
-    # column matrix in F order
-    cols_t = np.empty((c_in, kh, kw, n, oh, ow), dtype=x.dtype)
-    x_t = x.transpose(1, 0, 2, 3)
-    for dy in range(kh):
-        for dx in range(kw):
-            cols_t[:, dy, dx] = x_t[:, :, dy:dy + stride * (oh - 1) + 1:stride, dx:dx + stride * (ow - 1) + 1:stride]
-    out = cols_t.reshape(c_in * kh * kw, n * oh * ow).T @ weights.reshape(c_out, -1).T
+    h, w = x.shape[2] + 2 * padding, x.shape[3] + 2 * padding
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    k, m = c_in * kh * kw, oh * ow
+    nb = max(1, min(n, _BLOCK_BYTES // max(1, k * m * x.itemsize)))
+    wmat = weights.reshape(c_out, k).T
+    out = np.empty((n * m, c_out), dtype=np.result_type(x, weights))
+    # the block's images, channel-major, inside a zero border that stays
+    # zero because only the interior is ever written
+    padded = np.zeros((c_in, nb, h, w), dtype=x.dtype)
+    cols_buf = np.empty(k * nb * m, dtype=x.dtype)
+    for i in range(0, n, nb):
+        b = min(nb, n - i)
+        src = padded[:, :b]
+        src[:, :, padding:h - padding, padding:w - padding] = x[i:i + b].transpose(1, 0, 2, 3)
+        # im2col staged as (C_in, kh, kw, b, oh, ow): one contiguous block
+        # copy per kernel tap; its transpose is the block's
+        # (b*oh*ow, C_in*kh*kw) column matrix in F order
+        cols = cols_buf[:k * b * m].reshape(c_in, kh, kw, b, oh, ow)
+        for dy in range(kh):
+            for dx in range(kw):
+                cols[:, dy, dx] = src[:, :, dy:dy + stride * (oh - 1) + 1:stride, dx:dx + stride * (ow - 1) + 1:stride]
+        np.matmul(cols.reshape(k, b * m).T, wmat, out=out[i * m:(i + b) * m])
     return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
 

@@ -98,14 +98,17 @@ def hamming_kernel(codes: ActivationCodeMatrix) -> HammingKernel:
     """K[i, j] = n_units - popcount(code_i XOR code_j), as float64.
 
     Works on the packed words directly: one XOR + bit count per row
-    pair, 64 code bits per word operation.
+    pair, 64 code bits per word operation.  Only the upper triangle is
+    computed; the entries are integers, so the mirrored lower triangle
+    is exact.
     """
     words = codes.words
     n = words.shape[0]
     out = np.empty((n, n), dtype=np.float64)
     for i in range(n):
-        dist = np.bitwise_count(words[i] ^ words).sum(axis=1)
-        out[i] = codes.n_units - dist
+        dist = np.bitwise_count(words[i] ^ words[i:]).sum(axis=1)
+        out[i, i:] = codes.n_units - dist
+        out[i + 1:, i] = out[i, i + 1:]
     return HammingKernel(matrix=out, n_units=codes.n_units)
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "kendall_tau",
     "correlate_space",
     "ablation_run",
+    "normal_batch_factory",
     "normalize_by_min",
 ]
 
@@ -158,7 +159,8 @@ def correlate_space(
     return CorrelationReport(tau=tau, rows=tuple(rows), excluded_count=len(rows) - len(valid))
 
 
-def _normal_factory(config: NetworkConfig) -> BatchFactory:
+def normal_batch_factory(config: NetworkConfig) -> BatchFactory:
+    """Standard-normal batches shaped for ``config``: (batch_size, seed) -> batch."""
     return lambda batch_size, seed: random_normal_batch((batch_size, *config.input_shape), seed)
 
 
@@ -187,7 +189,7 @@ def ablation_run(
     if repeats < 2:
         raise ValueError("repeats must be at least 2")
     if batch_factory is None or mode == "random_inputs":
-        batch_factory = _normal_factory(config)
+        batch_factory = normal_batch_factory(config)
     if mode == "batch_sizes":
         levels = [(str(size), size) for size in ABLATION_BATCH_SIZES]
     else:

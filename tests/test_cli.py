@@ -200,6 +200,19 @@ class TestEvolutionCommands:
         _, rows = read_rows(log)
         assert len(rows) == 10  # header + floor(90/10) evaluations
 
+    @pytest.mark.parametrize("command", ["rea", "area"])
+    @pytest.mark.parametrize("seconds,cost", [("-5", "1"), ("0", "1"), ("nan", "1"), ("inf", "1"), ("90", "inf")])
+    def test_bad_time_budget_fails_with_one_error_line(self, capsys, tmp_path, full_bench_csv,
+                                                       command, seconds, cost):
+        log = tmp_path / "log.csv"
+        code, out, err = run(capsys, command, "--bench", str(full_bench_csv), *DESK,
+                             "--pop", "4", "--tournament", "2", "--seconds", seconds,
+                             "--eval-cost", cost, "--out", str(log))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ValueError: --") and err.count("\n") == 1
+        assert not log.exists()
+
 
 class TestCorrelateCommand:
     def test_report_rows_and_summary(self, capsys, tmp_path, full_bench_csv):

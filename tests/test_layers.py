@@ -98,6 +98,25 @@ class TestConv2d:
             assert_same_bits_and_strides(conv2d(view, weights, stride, kernel // 2),
                                          conv2d_window_im2col(view, weights, stride, kernel // 2))
 
+    # conv2d walks the batch in blocks of 3 images at the stage-1 3x3 shape
+    # and 14 at the stride-2 shape: batches of 1 and 5 end inside or below
+    # one block, and 129 ends on a block edge at one shape and in a ragged
+    # block of 3 at the other
+    @pytest.mark.parametrize("n", [1, 5, 129])
+    @pytest.mark.parametrize("c_in,c_out,stride", [(16, 16, 1), (16, 32, 2)])
+    def test_bit_identical_across_block_boundaries(self, n, c_in, c_out, stride):
+        rng = np.random.default_rng([n, c_in, c_out, stride])
+        x = rng.standard_normal((n, c_in, 32, 32), dtype=np.float32)
+        weights = rng.standard_normal((c_out, c_in, 3, 3), dtype=np.float32)
+        for view in in_layouts(x):
+            assert_same_bits_and_strides(conv2d(view, weights, stride, 1),
+                                         conv2d_window_im2col(view, weights, stride, 1))
+
+    @pytest.mark.parametrize("shape,kernel,want", [((0, 3, 4, 4), 3, (0, 4, 4, 4)), ((2, 3, 0, 0), 1, (2, 4, 0, 0))])
+    def test_empty_batch_or_image_gives_empty_output(self, shape, kernel, want):
+        weights = np.zeros((4, 3, kernel, kernel), dtype=np.float32)
+        assert conv2d(np.zeros(shape, dtype=np.float32), weights, 1, kernel // 2).shape == want
+
     def test_stride_two_halves_spatial_dims(self):
         x = np.zeros((1, 2, 8, 8), dtype=np.float32)
         weights = np.zeros((3, 2, 3, 3), dtype=np.float32)
