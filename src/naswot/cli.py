@@ -124,7 +124,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         settings = _resolve_settings(args)
-        return _COMMANDS[args.command](settings)
+        return _SUBCOMMANDS[args.command][0](settings)
     except _EXPECTED_ERRORS as exc:
         # args[0], not str(exc): KeyError subclasses repr-quote their str()
         message = exc.args[0] if exc.args else str(exc)
@@ -133,51 +133,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and settings resolution
+# settings resolution
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master seed (split into arch/init/data streams)")
-    common.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    common.add_argument("--input", default=None, help="batch source: random | cifar10:<dir>")
-    common.add_argument("--bench", default=None, help="accuracy table CSV")
-    common.add_argument("--dataset", default=None, help="dataset tag filter for --bench")
-    common.add_argument("--n", type=int, default=None, help="sample count")
-    common.add_argument("--pool", type=int, default=None, help="scored pool size (area)")
-    common.add_argument("--pop", type=int, default=None, help="population size (rea/area)")
-    common.add_argument("--tournament", type=int, default=None)
-    common.add_argument("--budget", type=int, default=None, help="total evaluations (rea/area)")
-    common.add_argument("--seconds", type=float, default=None, help="time budget; needs --eval-cost")
-    common.add_argument("--eval-cost", dest="eval_cost", type=float, default=None,
-                        help="assumed seconds per evaluation for --seconds")
-    common.add_argument("--jobs", type=int, default=None, help="parallel scoring workers")
-    common.add_argument("--config", default=None, help="key=value settings file")
-    common.add_argument("--out", default=None, help="output file path")
-    common.add_argument("--metric", choices=["val_acc", "test_acc"], default=None)
-    common.add_argument("--preset", choices=sorted(_PRESETS), default=None, help="network size preset")
-    common.add_argument("--dump-kernel", dest="dump_kernel", choices=["raw", "normalized"], default=None)
-
-    parser = argparse.ArgumentParser(prog="naswot", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("score", parents=[common], help="score one architecture untrained")
-    p.add_argument("arch", help="architecture string")
-    p = sub.add_parser("search", parents=[common], help="sample-and-score search")
-    p = sub.add_parser("rea", parents=[common], help="regularized evolution against an accuracy table")
-    p = sub.add_parser("area", parents=[common], help="evolution with score-selected initial population")
-    p = sub.add_parser("correlate", parents=[common], help="rank-correlate scores with table accuracies")
-    p = sub.add_parser("ablate", parents=[common], help="rescore one architecture varying one factor")
-    p.add_argument("arch", help="architecture string")
-    p.add_argument("--mode", choices=["batches", "random_inputs", "inits", "batch_sizes"], default=None)
-    p.add_argument("--repeats", type=int, default=None)
-    p = sub.add_parser("dump-kernel", parents=[common], help="write the kernel matrix as CSV")
-    p.add_argument("arch", help="architecture string")
-    return parser
-
-
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, command: str) -> dict:
+    read = ("seed", "out", *_SUBCOMMANDS[command][3])
     entries: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -189,6 +150,8 @@ def _parse_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _KEY_TYPES:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+        if key not in read:
+            raise ValueError(f"{path}:{lineno}: {command} does not read setting {key!r}")
         try:
             entries[key] = _KEY_TYPES[key](value.strip())
         except ValueError:
@@ -200,7 +163,7 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
     settings = dict(_DEFAULTS)
     settings.update(_SUB_DEFAULTS.get(args.command, {}))
     if getattr(args, "config", None):
-        settings.update(_parse_config_file(args.config))
+        settings.update(_parse_config_file(args.config, args.command))
     for key in _KEY_TYPES:
         value = getattr(args, key, None)
         if value is not None:
@@ -228,8 +191,7 @@ def _network_config(settings: dict) -> NetworkConfig:
     preset = settings["preset"]
     if preset not in _PRESETS:
         raise ValueError(f"unknown preset {preset!r}; expected one of {sorted(_PRESETS)}")
-    fields = {key: settings[key] for key in ("stem_channels", "cells_per_stage", "input_shape", "bn_epsilon")
-              if key in settings}
+    fields = {key: settings[key] for key in _NETWORK_FIELDS if key in settings}
     return _PRESETS[preset](init_seed=settings["init_seed"], **fields)
 
 
@@ -485,15 +447,67 @@ def _cmd_ablate(settings: dict) -> int:
     return 0
 
 
-_COMMANDS = {
-    "score": _cmd_score,
-    "search": _cmd_search,
-    "rea": _cmd_rea,
-    "area": _cmd_area,
-    "correlate": _cmd_correlate,
-    "ablate": _cmd_ablate,
-    "dump-kernel": _cmd_dump_kernel,
+# help text and choices of every flag, by settings key; the flag is the
+# key with "-" for "_", and its value parser is the key's in _KEY_TYPES
+# (str for --config, which names a file rather than a setting)
+_FLAGS = {
+    "seed": dict(help="master seed (split into arch/init/data streams)"),
+    "batch_size": {},
+    "input": dict(help="batch source: random | cifar10:<dir>"),
+    "bench": dict(help="accuracy table CSV"),
+    "dataset": dict(help="dataset tag filter for --bench"),
+    "n": dict(help="sample count"),
+    "pool": dict(help="scored pool size"),
+    "pop": dict(help="population size"),
+    "tournament": {},
+    "budget": dict(help="total evaluations"),
+    "seconds": dict(help="time budget; needs --eval-cost"),
+    "eval_cost": dict(help="assumed seconds per evaluation for --seconds"),
+    "jobs": dict(help="parallel scoring workers"),
+    "config": dict(help="key=value settings file"),
+    "out": dict(help="output file path"),
+    "metric": dict(choices=["val_acc", "test_acc"]),
+    "preset": dict(choices=sorted(_PRESETS), help="network size preset"),
+    "dump_kernel": dict(choices=["raw", "normalized"]),
+    "mode": dict(choices=["batches", "random_inputs", "inits", "batch_sizes"]),
+    "repeats": {},
 }
+
+# NetworkConfig fields a --config file may override; they have no flag
+_NETWORK_FIELDS = ("stem_channels", "cells_per_stage", "input_shape", "bn_epsilon")
+_NETWORK_KEYS = ("batch_size", "input", "preset", "init_seed", *_NETWORK_FIELDS)
+_TABLE_KEYS = ("bench", "dataset", "metric")
+_EVOLUTION_KEYS = ("pop", "tournament", "budget", "seconds", "eval_cost")
+
+# subcommand -> (handler, help, whether it takes an arch, the settings
+# keys it reads besides seed and out); a flag or config key outside them
+# is an error
+_SUBCOMMANDS = {
+    "score": (_cmd_score, "score one architecture untrained", True, (*_NETWORK_KEYS, "dump_kernel")),
+    "search": (_cmd_search, "sample-and-score search", False, (*_NETWORK_KEYS, "n", "jobs")),
+    "rea": (_cmd_rea, "regularized evolution against an accuracy table", False,
+            (*_TABLE_KEYS, *_EVOLUTION_KEYS)),
+    "area": (_cmd_area, "evolution with score-selected initial population", False,
+             (*_NETWORK_KEYS, *_TABLE_KEYS, "pool", *_EVOLUTION_KEYS)),
+    "correlate": (_cmd_correlate, "rank-correlate scores with table accuracies", False,
+                  (*_NETWORK_KEYS, *_TABLE_KEYS, "n")),
+    "ablate": (_cmd_ablate, "rescore one architecture varying one factor", True,
+               (*_NETWORK_KEYS, "mode", "repeats")),
+    "dump-kernel": (_cmd_dump_kernel, "write the kernel matrix as CSV", True, (*_NETWORK_KEYS, "dump_kernel")),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="naswot", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, takes_arch, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if takes_arch:
+            p.add_argument("arch", help="architecture string")
+        for key in ("seed", *keys, "config", "out"):
+            if key in _FLAGS:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_TYPES.get(key, str), **_FLAGS[key])
+    return parser
 
 
 if __name__ == "__main__":

@@ -23,6 +23,17 @@ never produces.  The stride-2 pool still takes that window mean: numpy
 sums a 2x2 window in one of four orders, chosen by which axis is
 innermost in memory, and the stored reference scores depend on that
 order.
+
+``batchnorm_batchstats`` returns the same bits and strides as the
+float64-temporaries expression the tests keep as its oracle, on both
+layouts.  Its elementwise steps (cast to float64, subtract, square,
+divide, cast back) each round once whatever order they run in, so it
+casts once and then subtracts and divides in place against one image's
+worth of per-channel values laid out like each image.  Its two float64
+sums are that expression's ``np.add.reduce`` calls on arrays of the same
+layout, so they add in the same layout-dependent order.  The tests check
+both layouts on inputs built so that another summation order shows in
+the float32 output.
 """
 
 from __future__ import annotations
@@ -100,13 +111,25 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float) -> np.ndarray:
     """
     if x.shape[0] < 2:
         raise ShapeMismatch("batch statistics need at least 2 inputs")
-    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
-    centered = x - mean[None, :, None, None]
-    var = np.mean(centered * centered, axis=(0, 2, 3))
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    work = x.astype(np.float64)  # keeps x's memory layout
+    # one image's worth of per-channel values laid out like each image of
+    # work, so the subtract and divide broadcast over the batch axis only
+    # and run as one long inner loop per image
+    per_image = np.empty_like(work[0])
+    # numpy adds these sums in an order set by the input's memory layout
+    # (and, casting float32, by its cast buffer); the stored reference
+    # scores depend on that order, so both stay plain add.reduce calls
+    per_image[...] = (np.add.reduce(x, axis=(0, 2, 3), dtype=np.float64) / count)[:, None, None]
+    work -= per_image
+    squares = np.square(work)
+    var = np.add.reduce(squares, axis=(0, 2, 3)) / count
+    del squares  # frees it before the float32 output is made
     denom = np.sqrt(var + epsilon)
     # A zero denominator implies every deviation in the channel is zero.
-    safe = np.where(denom == 0.0, 1.0, denom)
-    return (centered / safe[None, :, None, None]).astype(np.float32)
+    per_image[...] = np.where(denom == 0.0, 1.0, denom)[:, None, None]
+    work /= per_image
+    return work.astype(np.float32)
 
 
 def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) -> np.ndarray:

@@ -76,8 +76,11 @@ class NetworkConfig:
 class ActivationCodeMatrix:
     """Per-input binary ReLU codes, bit-packed into uint64 words.
 
-    Row i holds the n_units bits of input i in layer-major order
-    (channel-major, then row-major within a site).
+    Row i holds the n_units bits of input i, site after site in forward
+    order.  Within a site the units keep the site's memory order: row,
+    column, then channel for the NHWC memory that conv2d and batch-norm
+    return, channel-major for C-contiguous input.  The kernel counts
+    agreeing bits, so column order does not reach a score.
     """
 
     words: np.ndarray  # (N, n_words) uint64
@@ -104,19 +107,45 @@ class ActivationCodeMatrix:
 
 
 class _CodeRecorder:
-    """Collects ReLU pre-activation sign bits during a forward pass."""
+    """Packs ReLU pre-activation sign bits into one (N, n_words) buffer.
 
-    def __init__(self) -> None:
-        self.site_bits: list[np.ndarray] = []
+    Each site's bits are taken in the site's own memory order, batch
+    axis first, so no site is copied into channel-major order, and are
+    packed as soon as they end on a byte boundary; a site that ends
+    inside a byte waits for the next.
+    """
+
+    def __init__(self, n_inputs: int, n_units: int) -> None:
+        self.packed = np.zeros((n_inputs, -(-n_units // 64) * 8), dtype=np.uint8)
+        self.n_units = n_units
+        self.filled = 0
+        self.pending: list[np.ndarray] = []  # (N, k) bits from the last byte boundary on
 
     def record(self, pre_activation: np.ndarray) -> None:
-        if not np.isfinite(pre_activation).all():
+        # the non-batch axes from largest to smallest stride: the order
+        # the site's values lie in memory
+        axes = sorted(range(1, pre_activation.ndim), key=lambda a: -pre_activation.strides[a])
+        src = pre_activation.transpose(0, *axes)
+        self.filled += src[0].size
+        if self.filled > self.n_units:
+            raise RuntimeError(f"ReLU sites hold more units than the {self.n_units} "
+                               "that count_relu_units gives")
+        bits = np.isfinite(src)
+        if not bits.all():
             raise NonFiniteActivation("NaN or Inf pre-activation at a ReLU site")
-        n = pre_activation.shape[0]
-        self.site_bits.append((pre_activation > 0).reshape(n, -1))
+        np.greater(src, 0, out=bits)
+        self.pending.append(bits.reshape(src.shape[0], -1))
+        if self.filled % 8 == 0 or self.filled == self.n_units:
+            run = self.pending[0] if len(self.pending) == 1 else np.concatenate(self.pending, axis=1)
+            start = (self.filled - run.shape[1]) // 8
+            self.packed[:, start:start + -(-run.shape[1] // 8)] = np.packbits(run, axis=1)
+            self.pending = []
 
     def codes(self) -> ActivationCodeMatrix:
-        return ActivationCodeMatrix.from_bits(np.concatenate(self.site_bits, axis=1))
+        if self.filled != self.n_units:
+            raise RuntimeError(f"ReLU sites hold {self.filled} units, count_relu_units gives "
+                               f"{self.n_units}")
+        return ActivationCodeMatrix(words=self.packed.view(np.uint64), n_units=self.n_units)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +233,17 @@ class DownsampleBlock:
         self.shortcut = shortcut
 
     def forward(self, x, recorder):
-        return self.main.forward(x, recorder) + self.shortcut.forward(x, recorder)
+        # The main path ends in a fresh batch-norm output laid out like
+        # the shortcut's conv output, so adding into it in place gives
+        # the bits and strides of ``main + shortcut`` with one full-size
+        # buffer fewer.  A binary op on a large temporary would also make
+        # numpy check whether it may reuse that temporary, and its first
+        # such check allocates a thread-local block for the life of the
+        # process; placed high in a heap the forward pass has grown, that
+        # block keeps the freed memory below it resident.
+        out = self.main.forward(x, recorder)
+        out += self.shortcut.forward(x, recorder)
+        return out
 
 
 @dataclass
@@ -305,7 +344,7 @@ def forward_collect_codes(net: Network, batch: np.ndarray) -> ActivationCodeMatr
         raise ValueError(f"batch shape {batch.shape} does not match input shape {expected}")
     if batch.shape[0] < 2:
         raise ValueError("need at least 2 inputs for batch statistics")
-    recorder = _CodeRecorder()
+    recorder = _CodeRecorder(batch.shape[0], count_relu_units(net))
     net.forward(np.ascontiguousarray(batch, dtype=np.float32), recorder)
     return recorder.codes()
 

@@ -2,9 +2,10 @@
 
 Everything here is written the slow, obvious way (per-element loops,
 textbook formulas) so that agreement with the fast library paths is
-meaningful evidence rather than a tautology.  The two window
-expressions at the end are the exception: they are the earlier
-vectorized conv and pool, which the faster ones must match bit for bit.
+meaningful evidence rather than a tautology.  The four pieces at the
+end are the exception: they are the earlier vectorized conv, pool and
+batch-norm, which the faster ones must match bit for bit, and the
+earlier code recorder, whose kernels the packing one must match.
 """
 
 import math
@@ -144,3 +145,32 @@ def avg_pool_window_mean(x: np.ndarray, kernel: int, stride: int, padding: int) 
         x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
     return windows.mean(axis=(4, 5))
+
+
+def batchnorm_float64_temporaries(x: np.ndarray, epsilon: float) -> np.ndarray:
+    """The batch-norm that ``batchnorm_batchstats`` must match bit for bit, strides included.
+
+    Broadcasts float64 per-channel statistics against the float32 input,
+    making a fresh float64 temporary at every step.
+    """
+    mean = x.mean(axis=(0, 2, 3), dtype=np.float64)
+    centered = x - mean[None, :, None, None]
+    var = np.mean(centered * centered, axis=(0, 2, 3))
+    denom = np.sqrt(var + epsilon)
+    safe = np.where(denom == 0.0, 1.0, denom)
+    return (centered / safe[None, :, None, None]).astype(np.float32)
+
+
+class ChannelMajorRecorder:
+    """The recorder that copies each site's sign bits channel-major and
+    concatenates the sites at the end; pass it to ``Network.forward``."""
+
+    def __init__(self) -> None:
+        self.site_bits: list[np.ndarray] = []
+
+    def record(self, pre_activation: np.ndarray) -> None:
+        n = pre_activation.shape[0]
+        self.site_bits.append((pre_activation > 0).reshape(n, -1))
+
+    def bits(self) -> np.ndarray:
+        return np.concatenate(self.site_bits, axis=1)

@@ -205,7 +205,8 @@ class TestEvolutionCommands:
     def test_bad_time_budget_fails_with_one_error_line(self, capsys, tmp_path, full_bench_csv,
                                                        command, seconds, cost):
         log = tmp_path / "log.csv"
-        code, out, err = run(capsys, command, "--bench", str(full_bench_csv), *DESK,
+        network = DESK if command == "area" else []  # rea builds no network
+        code, out, err = run(capsys, command, "--bench", str(full_bench_csv), *network,
                              "--pop", "4", "--tournament", "2", "--seconds", seconds,
                              "--eval-cost", cost, "--out", str(log))
         assert code == 1
@@ -285,6 +286,34 @@ class TestAblateCommand:
             main(["ablate", CONV_ARCH, "--mode", "gradient"])
 
 
+FOREIGN_FLAGS = [
+    (["score", CONV_ARCH, *DESK], ["--jobs", "4"]),
+    (["score", CONV_ARCH, *DESK], ["--bench", "t.csv"]),
+    (["dump-kernel", CONV_ARCH, *DESK], ["--n", "3"]),
+    (["search", *DESK], ["--seconds", "5", "--eval-cost", "1"]),
+    (["search", *DESK], ["--dump-kernel", "raw"]),
+    (["rea", "--bench", "t.csv"], ["--preset", "desk"]),
+    (["rea", "--bench", "t.csv"], ["--batch-size", "8"]),
+    (["area", "--bench", "t.csv", *DESK], ["--jobs", "2"]),
+    (["correlate", "--bench", "t.csv", *DESK], ["--pop", "4"]),
+    (["ablate", CONV_ARCH, *DESK, "--mode", "inits"], ["--n", "3"]),
+]
+
+
+class TestFlagsPerSubcommand:
+    # each subcommand parses only the flags it reads; any other flag is
+    # an argument error, not a silently ignored setting
+    @pytest.mark.parametrize("argv,foreign", FOREIGN_FLAGS,
+                             ids=[f"{argv[0]}{foreign[0]}" for argv, foreign in FOREIGN_FLAGS])
+    def test_foreign_flag_fails_like_an_unknown_flag(self, capsys, argv, foreign):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + foreign)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(foreign)}\n")
+
+
 class TestConfigResolution:
     def test_config_file_overrides_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -311,6 +340,25 @@ class TestConfigResolution:
         code, _, err = run(capsys, "score", CONV_ARCH, "--config", str(cfg))
         assert code == 1
         assert "warp_speed" in err
+
+    @pytest.mark.parametrize("argv,line", [
+        (["score", CONV_ARCH, *DESK], "jobs=4"),
+        (["score", CONV_ARCH, *DESK], "jobs=0"),
+        (["search", *DESK, "--n", "2"], "eval_cost=1"),
+        (["rea", "--bench", "t.csv"], "preset=desk"),
+        (["rea", "--bench", "t.csv"], "init_seed=3"),
+        (["correlate", "--bench", "t.csv", *DESK], "pool=4"),
+    ], ids=["score-jobs", "score-jobs0", "search-eval_cost", "rea-preset", "rea-init_seed", "correlate-pool"])
+    def test_config_key_the_subcommand_does_not_read_rejected(self, capsys, tmp_path, argv, line):
+        # like a foreign flag, a foreign config key is an error, not a
+        # silently ignored setting
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed=3\n{line}\n", encoding="utf-8")
+        code, out, err = run(capsys, *argv, "--config", str(cfg))
+        key = line.partition("=")[0]
+        assert code == 1
+        assert out == ""
+        assert err == f"error: ValueError: {cfg}:2: {argv[0]} does not read setting {key!r}\n"
 
     def test_network_fields_settable_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -13,6 +13,7 @@ from naswot.network import NetworkConfig
 from oracles import (
     avg_pool_loops,
     avg_pool_window_mean,
+    batchnorm_float64_temporaries,
     batchnorm_two_pass,
     conv2d_loops,
     conv2d_window_im2col,
@@ -44,6 +45,33 @@ def pool_shapes():
             for config, n in PRESETS for s in range(STAGES)]
 
 
+def bn_shapes():
+    """Every (N, C, H) a preset's batch-norms see: each stage's map."""
+    return [(n, config.stem_channels << s, config.input_shape[1] >> s)
+            for config, n in PRESETS for s in range(STAGES)]
+
+
+def cancelling_batch(shape, rng):
+    """Balanced +-2**40 entries among uniform [0, 1) ones: the float64 sum
+    of a channel keeps a different share of the small entries in every
+    summation order, so the mean shows the order."""
+    x = rng.random(shape, dtype=np.float32)
+    big = rng.permutation(x.size)[: x.size // 10 * 2]
+    x.flat[big] = np.where(np.arange(big.size) % 2, np.float32(2.0**40), np.float32(-2.0**40))
+    return x
+
+
+def absorbing_batch(shape, rng):
+    """Each channel leads with two entries 3 * 2**25 away from its mean,
+    then entries whose squared deviations fall below half an ulp of those
+    two squares: a sequential variance sum drops them all, a pairwise one
+    keeps them, so the variance shows the order."""
+    x = (rng.uniform(-1.4, 1.4, shape) + 1000.3).astype(np.float32)
+    x[0, :, 0, 0] = 1000 + 3 * 2.0**25
+    x[0, :, 0, 1] = 1000 - 3 * 2.0**25
+    return x
+
+
 def in_layouts(x):
     """The two memory layouts the forward pass feeds a layer: C-contiguous
     NCHW, and the NCHW view of NHWC memory that conv2d and BN return."""
@@ -53,7 +81,8 @@ def in_layouts(x):
 def assert_same_bits_and_strides(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.strides == want.strides
-    assert np.array_equal(got, want)
+    # compared as raw bits, so NaN payloads and the sign of zero count too
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 class TestConv2d:
@@ -164,6 +193,49 @@ class TestBatchNorm:
     def test_single_input_rejected(self):
         with pytest.raises(ValueError):
             batchnorm_batchstats(np.zeros((1, 1, 2, 2), dtype=np.float32), 1e-5)
+
+    @pytest.mark.parametrize("n,c,h", bn_shapes())
+    def test_bit_identical_to_float64_temporaries(self, n, c, h):
+        x = np.random.default_rng([n, c, h]).standard_normal((n, c, h, h), dtype=np.float32)
+        for view in in_layouts(x):
+            assert_same_bits_and_strides(batchnorm_batchstats(view, 1e-5),
+                                         batchnorm_float64_temporaries(view, 1e-5))
+
+    # rounding to float32 hides most float64 summation-order changes in
+    # the statistics; these inputs make them show in the output.  The
+    # extra shape has channel runs of 65,536 values, longer than the
+    # 8,192-value buffer numpy casts float32 through while summing.
+    @pytest.mark.parametrize("n,c,h", bn_shapes() + [(2, 1, 256)])
+    @pytest.mark.parametrize("make", [cancelling_batch, absorbing_batch])
+    def test_bit_identical_where_summation_order_shows(self, n, c, h, make):
+        x = make((n, c, h, h), np.random.default_rng([n, c, h]))
+        for view in in_layouts(x):
+            assert_same_bits_and_strides(batchnorm_batchstats(view, 1e-5),
+                                         batchnorm_float64_temporaries(view, 1e-5))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-5])
+    def test_bit_identical_on_zero_variance_channels_at_batch_two(self, eps):
+        rng = np.random.default_rng(11)
+        x = (rng.standard_normal((2, 6, 5, 5), dtype=np.float32) * 4 + 2).astype(np.float32)
+        x[:, 1] = 3.25    # constant channel
+        x[:, 4] = 0.0     # all-zero channel
+        x[:, 5] = -0.0    # negative zeros
+        for view in in_layouts(x):
+            assert_same_bits_and_strides(batchnorm_batchstats(view, eps),
+                                         batchnorm_float64_temporaries(view, eps))
+
+    def test_bit_identical_on_non_finite_inputs(self):
+        x = np.random.default_rng(12).standard_normal((4, 5, 3, 3), dtype=np.float32)
+        x[0, 0, 1, 1] = np.nan
+        x[2, 1, 0, 2] = np.inf
+        x[3, 2, 2, 0] = -np.inf
+        x[1, 3] = np.inf  # a whole image's channel
+        for view in in_layouts(x):
+            with np.errstate(invalid="ignore"):
+                got = batchnorm_batchstats(view, 1e-5)
+                want = batchnorm_float64_temporaries(view, 1e-5)
+            assert_same_bits_and_strides(got, want)
+            assert np.isfinite(got[:, 4]).all() and not np.isfinite(got[:, :4]).any()
 
 
 class TestPooling:

@@ -1,18 +1,29 @@
 import numpy as np
 import pytest
 
+from naswot.benchdata import random_normal_batch
 from naswot.network import (
     ActivationCodeMatrix,
     Cell,
+    DownsampleBlock,
     NetworkConfig,
     NonFiniteActivation,
+    ReLU,
+    Sequential,
     build_network,
     count_relu_units,
     forward_collect_codes,
 )
+from naswot.scoring import hamming_kernel
 from naswot.searchspace import Genotype, OpKind, as_generator, parse_arch, sample_uniform
 
+from make_golden import MIXED, TABLES
+from oracles import ChannelMajorRecorder
+
+_, DESK_GOLDEN_CONFIG, DESK_GOLDEN_BATCH, _, DESK_GOLDEN_ARCHS = TABLES[0]
+
 EXAMPLE = "|nor_conv_3x3~0|+|none~0|skip_connect~1|+|avg_pool_3x3~0|nor_conv_1x1~1|skip_connect~2|"
+THREE_CONVS = "|nor_conv_3x3~0|+|nor_conv_1x1~0|none~1|+|skip_connect~0|avg_pool_3x3~1|nor_conv_3x3~2|"
 
 
 def normal_batch(n, shape, seed):
@@ -78,6 +89,20 @@ class TestBuildForward:
         x = normal_batch(2, (8, 8, 8), 2)
         assert not cell.forward(x, None).any()
 
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    def test_downsample_block_gives_bits_and_strides_of_branch_sum(self, layout):
+        net = build_network(parse_arch(EXAMPLE), NetworkConfig.desk())
+        block = next(b for b in net.blocks if isinstance(b, DownsampleBlock))
+        x = normal_batch(4, (8, 8, 8), 6)
+        if layout == "nhwc":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        before = x.copy()
+        expected = block.main.forward(x, None) + block.shortcut.forward(x, None)
+        got = block.forward(x, None)
+        assert got.strides == expected.strides
+        assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
+        assert np.array_equal(x, before)
+
     def test_all_zeroise_codes_rows_identical(self):
         cfg = NetworkConfig.desk()
         net = build_network(Genotype.uniform(OpKind.ZEROISE), cfg)
@@ -120,6 +145,50 @@ class TestBuildForward:
         net.blocks[0].layers[0].weights[0, 0, 0, 0] = np.nan
         with pytest.raises(NonFiniteActivation):
             forward_collect_codes(net, normal_batch(4, (3, 8, 8), 0))
+
+
+def sorted_columns(bits):
+    """The columns of a bool matrix as sorted byte strings, one per column."""
+    packed = np.packbits(bits, axis=0)
+    return np.sort(np.ascontiguousarray(packed.T).view(f"V{packed.shape[0]}").ravel())
+
+
+class TestCodeRecorder:
+    # the recorder writes each site in its memory order, so its columns are
+    # a permutation of the channel-major ones and the kernel, which counts
+    # agreeing bits, is the same matrix.  The last case has stage-3 sites
+    # of 4 units, which end inside a byte, and 124 units in all.
+    @pytest.mark.parametrize("config,batch_size,arch",
+                             [(DESK_GOLDEN_CONFIG, DESK_GOLDEN_BATCH, arch) for arch in DESK_GOLDEN_ARCHS]
+                             + [(NetworkConfig(), 128, MIXED[0]),
+                                (NetworkConfig.desk(stem_channels=1, input_shape=(3, 4, 4)), 8, THREE_CONVS)],
+                             ids=[f"desk{i}" for i in range(len(DESK_GOLDEN_ARCHS))] + ["full", "unaligned"])
+    def test_kernel_bit_identical_to_channel_major_recorder(self, config, batch_size, arch):
+        net = build_network(parse_arch(arch), config)
+        batch = random_normal_batch((batch_size, *config.input_shape), 0)
+        oracle = ChannelMajorRecorder()
+        net.forward(batch, oracle)
+        want = oracle.bits()
+        codes = forward_collect_codes(net, batch)
+        assert codes.n_units == want.shape[1]
+        got = hamming_kernel(codes).matrix
+        assert np.array_equal(got, hamming_kernel(ActivationCodeMatrix.from_bits(want)).matrix)
+        # and the same columns, counted with multiplicity
+        assert np.array_equal(sorted_columns(codes.unpack()), sorted_columns(want))
+
+    def test_more_units_than_counted_raises(self):
+        cfg = NetworkConfig.desk()
+        net = build_network(parse_arch(EXAMPLE), cfg)
+        net.blocks.append(Sequential([ReLU()]))  # a site count_relu_units does not know
+        with pytest.raises(RuntimeError, match="more units"):
+            forward_collect_codes(net, normal_batch(4, cfg.input_shape, 0))
+
+    def test_fewer_units_than_counted_raises(self):
+        cfg = NetworkConfig.desk()
+        net = build_network(parse_arch(EXAMPLE), cfg)
+        net.blocks.pop()  # drops the final BN + ReLU site
+        with pytest.raises(RuntimeError, match="count_relu_units gives 3072"):
+            forward_collect_codes(net, normal_batch(4, cfg.input_shape, 0))
 
 
 # hand-derived relu-unit table for the desk skeleton (stem 8, one cell
