@@ -14,26 +14,37 @@ memory layouts the forward pass produces, so every score is unchanged.
 passed transposed, one block of images at a time: each output row is
 the dot product of one image patch with one filter over the same K
 entries in the same order whichever block holds it, so blocking over
-the batch moves no bit.  ``tests/test_layers.py`` checks this at every
-preset conv shape and at batches ending inside, below and on a block
-edge.  The stride-1 pool adds each window row, then the
-row sums, which is the order numpy's window mean uses on every memory
-layout but fully reversed (W, H, C, N) memory, which the forward pass
-never produces.  The stride-2 pool still takes that window mean: numpy
-sums a 2x2 window in one of four orders, chosen by which axis is
-innermost in memory, and the stored reference scores depend on that
-order.
+the batch moves no bit.  Stacking the kernels of several convolutions
+of one input along C_out keeps each output column the same K-long dot
+product, so each run of columns equals a separate call.
+``tests/test_layers.py`` checks both at every preset conv shape, and
+blocking at batches ending inside, below and on a block edge.  The
+stride-1 pool adds each window row, then the row sums, which is the
+order numpy's window mean uses on every memory layout but fully
+reversed (W, H, C, N) memory, which the forward pass never produces;
+it pads in C order, so its output is C-ordered on every layout.  The
+stride-2 pool still takes that window mean: numpy sums a 2x2 window in
+one of four orders, chosen by which axis is innermost in memory, and
+the stored reference scores depend on that order.
 
-``batchnorm_batchstats`` returns the same bits and strides as the
-float64-temporaries expression the tests keep as its oracle, on both
-layouts.  Its elementwise steps (cast to float64, subtract, square,
-divide, cast back) each round once whatever order they run in, so it
-casts once and then subtracts and divides in place against one image's
-worth of per-channel values laid out like each image.  Its two float64
-sums are that expression's ``np.add.reduce`` calls on arrays of the same
-layout, so they add in the same layout-dependent order.  The tests check
-both layouts on inputs built so that another summation order shows in
-the float32 output.
+``batchnorm_batchstats`` returns NHWC memory on every input layout,
+with the bits the float64-temporaries expression the tests keep as its
+oracle gives on NHWC memory holding the same values.  Its elementwise
+steps (cast to float64, subtract, square, divide, round to float32)
+each round once whatever order they run in, so it runs them over
+blocks of images that fit in cache, in three passes: the mean sum;
+cast, subtract and square into the variance sum; cast, subtract,
+divide and store.  A batch that fits in one block is cast once.  On
+NHWC memory numpy adds each channel's float64 sum row by row over
+(n, h, w); the blocks keep that order by carrying the sum of the rows
+before in a row ahead of each block's rows, so the sum of the whole
+batch is the same sequence of additions.  Each channel's sum is its
+own sequence, so splitting the output into parts, or stacking more
+channels into one call, moves no bit.  One channel is the exception:
+numpy sums a lone channel pairwise, in runs set by its cast buffer, so
+a one-channel batch is one block and keeps that ``np.add.reduce`` call.
+The tests check blocked, one-block and split batches on inputs built so
+that another summation order shows in the float32 output.
 """
 
 from __future__ import annotations
@@ -99,7 +110,16 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0
     return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
 
-def batchnorm_batchstats(x: np.ndarray, epsilon: float) -> np.ndarray:
+def _carried_sum(buf: np.ndarray, rows: np.ndarray, total: np.ndarray | None) -> np.ndarray:
+    """Per-channel sum of ``rows`` (buf's rows 1...), added row by row onto
+    ``total``, the sum of the blocks before (None for the first block)."""
+    if total is None:
+        return np.add.reduce(rows, axis=0)
+    buf[0] = total
+    return np.add.reduce(buf[:1 + len(rows)], axis=0)
+
+
+def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None):
     """Standardize each channel by its own mini-batch statistics.
 
     y = (x - mean) / sqrt(var + epsilon) with the mean and biased
@@ -108,28 +128,78 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float) -> np.ndarray:
     accumulated in float64 so that reordering the batch perturbs them
     only at the 1e-16 level.  epsilon == 0 is allowed: channels with
     exactly zero variance then map to exactly zero output.
+
+    Returns NHWC memory viewed as (N, C, H, W).  With ``parts`` = m it
+    returns a list of m such arrays instead, each with its own memory,
+    holding consecutive runs of C / m channels: the batch-norms of m
+    convolutions whose kernels were stacked into one.
     """
-    if x.shape[0] < 2:
+    n, c, h, w = x.shape
+    if n < 2:
         raise ShapeMismatch("batch statistics need at least 2 inputs")
-    count = x.shape[0] * x.shape[2] * x.shape[3]
-    work = x.astype(np.float64)  # keeps x's memory layout
-    # one image's worth of per-channel values laid out like each image of
-    # work, so the subtract and divide broadcast over the batch axis only
-    # and run as one long inner loop per image
-    per_image = np.empty_like(work[0])
-    # numpy adds these sums in an order set by the input's memory layout
-    # (and, casting float32, by its cast buffer); the stored reference
-    # scores depend on that order, so both stay plain add.reduce calls
-    per_image[...] = (np.add.reduce(x, axis=(0, 2, 3), dtype=np.float64) / count)[:, None, None]
-    work -= per_image
-    squares = np.square(work)
-    var = np.add.reduce(squares, axis=(0, 2, 3)) / count
-    del squares  # frees it before the float32 output is made
-    denom = np.sqrt(var + epsilon)
+    if c % (parts or 1):
+        raise ShapeMismatch(f"{c} channels do not split into {parts} parts")
+    cp = c // (parts or 1)
+    hw = h * w
+    count = n * hw
+    nhwc = x.transpose(0, 2, 3, 1)
+    # images per block: a quarter of _BLOCK_BYTES of float64 rows.  numpy
+    # sums a lone channel pairwise, not row by row, so one channel is
+    # always one block.
+    nb = n if c == 1 else max(1, min(n, _BLOCK_BYTES // (32 * max(1, hw * c))))
+    blocks = range(0, n, nb)
+    # row 0 holds the per-channel sums carried from the blocks before
+    buf = np.empty((1 + nb * hw, c))
+
+    def load(i: int) -> np.ndarray:
+        """Block i's pixels as float64 rows of C channels."""
+        b = min(nb, n - i)
+        rows = buf[1:1 + b * hw]
+        rows.reshape(b, h, w, c)[...] = nhwc[i:i + b]
+        return rows
+
+    def per_image(op, rows: np.ndarray, channel_values: np.ndarray) -> None:
+        """rows = op(rows, channel_values) in place, against one image's
+        worth of values, so the op broadcasts over images only and runs
+        as one long inner loop per image."""
+        images = rows.reshape(-1, hw * c)
+        op(images, channel_values, out=images)
+
+    # pass 1: the mean
+    total = None
+    for i in blocks:
+        rows = load(i)
+        if c > 1:
+            total = _carried_sum(buf, rows, total)
+    if c == 1:
+        total = np.add.reduce(x, axis=(0, 2, 3), dtype=np.float64)
+    mean = np.tile(total / count, hw)
+    # pass 2: the variance; a one-block batch keeps its deviations for pass 3
+    if len(blocks) == 1:
+        per_image(np.subtract, rows, mean)
+        total = np.add.reduce(np.square(rows), axis=0)
+    else:
+        total = None
+        for i in blocks:
+            rows = load(i)
+            per_image(np.subtract, rows, mean)
+            total = _carried_sum(buf, np.square(rows, out=rows), total)
+    denom = np.sqrt(total / count + epsilon)
     # A zero denominator implies every deviation in the channel is zero.
-    per_image[...] = np.where(denom == 0.0, 1.0, denom)[:, None, None]
-    work /= per_image
-    return work.astype(np.float32)
+    denom = np.tile(np.where(denom == 0.0, 1.0, denom), hw)
+    # pass 3: deviations over the denominators, rounded to float32 on store
+    outs = [np.empty((count, cp), dtype=np.float32) for _ in range(parts or 1)]
+    for i in blocks:
+        if len(blocks) > 1:
+            rows = load(i)
+            per_image(np.subtract, rows, mean)
+        per_image(np.divide, rows, denom)
+        for j, out in enumerate(outs):
+            out[i * hw:i * hw + len(rows)] = rows[:, j * cp:(j + 1) * cp]
+    # one channel in NHWC memory is C order, and numpy gives it C strides
+    views = [out.reshape(n, h, w, cp).transpose(0, 3, 1, 2) if cp > 1 else out.reshape(n, 1, h, w)
+             for out in outs]
+    return views if parts else views[0]
 
 
 def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) -> np.ndarray:
@@ -141,7 +211,11 @@ def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) ->
     if x.ndim != 4:
         raise ShapeMismatch(f"need a 4-d input, got {x.shape}")
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        # the input inside a zero border, in C order whatever its layout
+        n, c, h, w = x.shape
+        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x
+        x = padded
     if stride != 1 or kernel == 1:
         # numpy's window mean sums a strided window in an order set by
         # which axis is innermost in memory, and the reference scores

@@ -9,11 +9,25 @@ A network is built from one Genotype repeated through a fixed skeleton:
     -> BN + ReLU
 
 Each cell realizes the genotype's 6 edges on the 4-node DAG; a node's
-state is the sum of its incoming edge outputs.  Convolution edges are
-ReLU -> conv -> BN triplets, so every such edge contributes one ReLU
-site.  A forward pass records, for every input, one bit per ReLU unit
-(1 where the pre-activation is strictly positive), bit-packed 64 to a
-word.  The code length N_A is the total unit count over all sites.
+state is the sum of its incoming edge outputs, added in EDGES order.
+Convolution edges are ReLU -> conv -> BN triplets, so every such edge
+contributes one ReLU site.  A forward pass records, for every input,
+one bit per ReLU unit (1 where the pre-activation is strictly positive),
+bit-packed 64 to a word.  The code length N_A is the total unit count
+over all sites.
+
+The forward pass runs a cell node by node (A, B, C) and does each
+node's shared work once.  The m conv edges leaving a node share one
+ReLU, whose site is recorded once and written m times into the codes,
+and those of one kernel size share one convolution with their kernels
+stacked along C_out and one batch-norm over the stacked channels, which
+writes each edge's channels to its own NHWC array.  Stacking moves no
+bit (see ``layers``), so the codes are a column permutation of running
+each edge on its own and every kernel and score is the same.  Zero
+edges add nothing to a sum: that can change only the sign of an exact
+zero, and a code bit reads ``> 0``.  A node keeps the memory layout its
+sum would have with the zeros in it, because the stride-2 pool after a
+stage sums in an order set by its input's layout.
 """
 
 from __future__ import annotations
@@ -77,7 +91,8 @@ class ActivationCodeMatrix:
     """Per-input binary ReLU codes, bit-packed into uint64 words.
 
     Row i holds the n_units bits of input i, site after site in forward
-    order.  Within a site the units keep the site's memory order: row,
+    order; a cell node leading m conv edges writes its site m times in
+    a row.  Within a site the units keep the site's memory order: row,
     column, then channel for the NHWC memory that conv2d and batch-norm
     return, channel-major for C-contiguous input.  The kernel counts
     agreeing bits, so column order does not reach a score.
@@ -121,25 +136,38 @@ class _CodeRecorder:
         self.filled = 0
         self.pending: list[np.ndarray] = []  # (N, k) bits from the last byte boundary on
 
-    def record(self, pre_activation: np.ndarray) -> None:
+    def record(self, pre_activation: np.ndarray, times: int = 1) -> None:
+        """Record a site's sign bits ``times`` times over: the ReLU of a
+        node that leads that many conv edges."""
         # the non-batch axes from largest to smallest stride: the order
         # the site's values lie in memory
         axes = sorted(range(1, pre_activation.ndim), key=lambda a: -pre_activation.strides[a])
         src = pre_activation.transpose(0, *axes)
-        self.filled += src[0].size
-        if self.filled > self.n_units:
+        units = src[0].size
+        if self.filled + times * units > self.n_units:
             raise RuntimeError(f"ReLU sites hold more units than the {self.n_units} "
                                "that count_relu_units gives")
         bits = np.isfinite(src)
         if not bits.all():
             raise NonFiniteActivation("NaN or Inf pre-activation at a ReLU site")
         np.greater(src, 0, out=bits)
-        self.pending.append(bits.reshape(src.shape[0], -1))
-        if self.filled % 8 == 0 or self.filled == self.n_units:
-            run = self.pending[0] if len(self.pending) == 1 else np.concatenate(self.pending, axis=1)
-            start = (self.filled - run.shape[1]) // 8
-            self.packed[:, start:start + -(-run.shape[1] // 8)] = np.packbits(run, axis=1)
-            self.pending = []
+        bits = bits.reshape(src.shape[0], units)
+        if self.filled % 8 == 0 and units % 8 == 0:
+            # packed once, copied into each repeat's bytes
+            packed = np.packbits(bits, axis=1)
+            for _ in range(times):
+                start = self.filled // 8
+                self.packed[:, start:start + packed.shape[1]] = packed
+                self.filled += units
+            return
+        for _ in range(times):
+            self.filled += units
+            self.pending.append(bits)
+            if self.filled % 8 == 0 or self.filled == self.n_units:
+                run = self.pending[0] if len(self.pending) == 1 else np.concatenate(self.pending, axis=1)
+                start = (self.filled - run.shape[1]) // 8
+                self.packed[:, start:start + -(-run.shape[1] // 8)] = np.packbits(run, axis=1)
+                self.pending = []
 
     def codes(self) -> ActivationCodeMatrix:
         if self.filled != self.n_units:
@@ -189,13 +217,6 @@ class AvgPool:
         return avg_pool2d(x, self.kernel, self.stride, self.padding)
 
 
-class Zero:
-    """The zeroise edge: a zero tensor of the input's shape."""
-
-    def forward(self, x, recorder):
-        return np.zeros_like(x)
-
-
 class Sequential:
     def __init__(self, layers) -> None:
         self.layers = list(layers)
@@ -207,22 +228,73 @@ class Sequential:
 
 
 class Cell:
-    """One genotype cell; node state = sum of incoming edge outputs."""
+    """One genotype cell; node state = sum of incoming edge outputs.
 
-    def __init__(self, edge_ops: list[Sequential]) -> None:
-        self.edge_ops = edge_ops  # aligned with searchspace.EDGES
+    The conv edges leaving one node share its ReLU, and those of one
+    kernel size share one convolution and one batch-norm: ``groups``
+    holds, per (source node, kernel size) in EDGES order (per edge in a
+    one-channel cell), the source, the edges' kernels stacked along
+    C_out and the edge indices.
+    """
+
+    def __init__(self, ops: tuple[OpKind, ...], groups: list, epsilon: float) -> None:
+        self.ops = ops  # aligned with searchspace.EDGES
+        self.groups = groups  # [(source, stacked weights, edge indices)]
+        self.epsilon = epsilon
 
     def forward(self, x, recorder):
-        states = {0: x}
-        for dest in (1, 2, 3):
-            acc = None
-            for k, (src, d) in enumerate(EDGES):
-                if d != dest:
+        states = [x]
+        # per node: the running sum of its non-zero inputs, and the
+        # sources of its zero inputs
+        sums: list = [None] * 4
+        zero_sources: list = [[] for _ in range(4)]
+        for src in (0, 1, 2):
+            if src:
+                states.append(_node_state(sums[src], zero_sources[src]))
+            a = states[src]
+            groups = [g for g in self.groups if g[0] == src]
+            convs = {}  # conv edge index -> its batch-norm output
+            if groups:
+                if recorder is not None:
+                    recorder.record(a, times=sum(len(edges) for _, _, edges in groups))
+                relu = np.maximum(a, 0.0)
+                for _, weights, edges in groups:
+                    y = conv2d(relu, weights, 1, weights.shape[-1] // 2)
+                    convs.update(zip(edges, batchnorm_batchstats(y, self.epsilon, parts=len(edges))))
+                    del y  # freed before the next group's conv
+                del relu
+            for k, (s, dest) in enumerate(EDGES):
+                if s != src:
                     continue
-                y = self.edge_ops[k].forward(states[src], recorder)
-                acc = y if acc is None else acc + y
-            states[dest] = acc
-        return states[3]
+                op = self.ops[k]
+                if op is OpKind.ZEROISE:
+                    zero_sources[dest].append(a)
+                    continue
+                if op is OpKind.IDENTITY:
+                    y = a
+                elif op is OpKind.AVGPOOL_3X3:
+                    y = avg_pool2d(a, 3, 1, 1)
+                else:
+                    y = convs.pop(k)
+                sums[dest] = y if sums[dest] is None else sums[dest] + y
+        return _node_state(sums[3], zero_sources[3])
+
+
+def _node_state(total, zero_sources: list):
+    """A node's state from the sum of its non-zero inputs (None if all
+    are zero) and the sources of its zero inputs.
+
+    Zero inputs add nothing but their memory layout: numpy lays out a sum
+    of NHWC and C-ordered operands in C order, and the stride-2 pool of
+    a downsample block adds up its windows in an order set by the layout
+    of the cell output it reads.  So the state keeps the layout the sum
+    with zeros shaped like each zero input's source would have.
+    """
+    if total is None:
+        total = np.zeros_like(zero_sources[0])
+    if not total.flags.c_contiguous and any(z.flags.c_contiguous for z in zero_sources):
+        total = np.ascontiguousarray(total)
+    return total
 
 
 class DownsampleBlock:
@@ -261,6 +333,9 @@ class Network:
         return x
 
 
+_KERNEL_SIZE = {OpKind.CONV_3X3: 3, OpKind.CONV_1X1: 1}
+
+
 def _he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
     std = math.sqrt(2.0 / fan_in)
     return rng.standard_normal(shape, dtype=np.float32) * np.float32(std)
@@ -271,22 +346,19 @@ def _conv_layer(rng, c_in: int, c_out: int, kernel: int, stride: int) -> Conv:
     return Conv(w, stride=stride, padding=kernel // 2)
 
 
-def _edge_op(op: OpKind, rng, channels: int, eps: float) -> Sequential:
-    if op is OpKind.ZEROISE:
-        return Sequential([Zero()])
-    if op is OpKind.IDENTITY:
-        return Sequential([])
-    if op is OpKind.CONV_3X3:
-        return Sequential([ReLU(), _conv_layer(rng, channels, channels, 3, 1), BatchNorm(eps)])
-    if op is OpKind.CONV_1X1:
-        return Sequential([ReLU(), _conv_layer(rng, channels, channels, 1, 1), BatchNorm(eps)])
-    if op is OpKind.AVGPOOL_3X3:
-        return Sequential([AvgPool(3, stride=1, padding=1)])
-    raise ValueError(f"unknown op {op!r}")
-
-
 def _make_cell(genotype: Genotype, rng, channels: int, eps: float) -> Cell:
-    return Cell([_edge_op(op, rng, channels, eps) for op in genotype.ops])
+    # kernels are drawn edge by edge in EDGES order, then stacked per
+    # (source, kernel size).  numpy sums a one-channel batch-norm pairwise
+    # but a wider one row by row, so one-channel convs stay unstacked.
+    groups: dict = {}  # key -> (source, kernels, edge indices)
+    for k, op in enumerate(genotype.ops):
+        if op in _KERNEL_SIZE:
+            size, src = _KERNEL_SIZE[op], EDGES[k][0]
+            _, kernels, edges = groups.setdefault((src, size) if channels > 1 else k, (src, [], []))
+            kernels.append(_he_normal(rng, (channels, channels, size, size), fan_in=channels * size * size))
+            edges.append(k)
+    return Cell(genotype.ops, [(src, np.concatenate(kernels), edges) for src, kernels, edges in groups.values()],
+                eps)
 
 
 def _make_downsample(rng, c_in: int, eps: float) -> DownsampleBlock:
@@ -357,7 +429,7 @@ def count_relu_units(net: Network) -> int:
     the incoming size, the second at the halved one); the final ReLU
     covers the last stage's map once.
     """
-    conv_edges = sum(op in (OpKind.CONV_3X3, OpKind.CONV_1X1) for op in net.genotype.ops)
+    conv_edges = sum(op in _KERNEL_SIZE for op in net.genotype.ops)
     c = net.config.stem_channels
     _, h, w = net.config.input_shape
     total = 0

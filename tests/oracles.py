@@ -2,10 +2,11 @@
 
 Everything here is written the slow, obvious way (per-element loops,
 textbook formulas) so that agreement with the fast library paths is
-meaningful evidence rather than a tautology.  The four pieces at the
+meaningful evidence rather than a tautology.  The five pieces at the
 end are the exception: they are the earlier vectorized conv, pool and
-batch-norm, which the faster ones must match bit for bit, and the
-earlier code recorder, whose kernels the packing one must match.
+batch-norm, which the faster ones must match bit for bit, the earlier
+code recorder, whose kernels the packing one must match, and the earlier
+per-edge cell, whose kernels the fused one must match.
 """
 
 import math
@@ -168,9 +169,68 @@ class ChannelMajorRecorder:
     def __init__(self) -> None:
         self.site_bits: list[np.ndarray] = []
 
-    def record(self, pre_activation: np.ndarray) -> None:
+    def record(self, pre_activation: np.ndarray, times: int = 1) -> None:
         n = pre_activation.shape[0]
-        self.site_bits.append((pre_activation > 0).reshape(n, -1))
+        self.site_bits += [(pre_activation > 0).reshape(n, -1)] * times
 
     def bits(self) -> np.ndarray:
         return np.concatenate(self.site_bits, axis=1)
+
+
+def cell_kernels_in_draw_order(genotype, config) -> list:
+    """Each cell's conv kernels by edge index, drawn He-normal from
+    ``init_seed`` edge by edge in build order: the stem conv, then per
+    stage the downsample block's three convs (from stage 2 on) and each
+    cell's conv edges in EDGES order."""
+    from naswot.searchspace import OpKind
+
+    rng = np.random.default_rng(config.init_seed)
+
+    def draw(c_out, c_in, k):
+        std = np.float32(math.sqrt(2.0 / (c_in * k * k)))
+        return rng.standard_normal((c_out, c_in, k, k), dtype=np.float32) * std
+
+    sizes = {OpKind.CONV_3X3: 3, OpKind.CONV_1X1: 1}
+    c = config.stem_channels
+    draw(c, config.input_shape[0], 3)
+    cells = []
+    for stage in range(3):
+        if stage:
+            for c_out, c_in, k in ((2 * c, c, 3), (2 * c, 2 * c, 3), (2 * c, c, 1)):
+                draw(c_out, c_in, k)
+            c *= 2
+        for _ in range(config.cells_per_stage):
+            cells.append({k: draw(c, c, sizes[op]) for k, op in enumerate(genotype.ops) if op in sizes})
+    return cells
+
+
+def per_edge_cell_forward(ops, kernels: dict, epsilon: float, x: np.ndarray, recorder) -> np.ndarray:
+    """The cell forward that the fused one must match: every conv edge
+    its own ReLU, record, window-im2col conv (``kernels`` by edge index)
+    and float64-temporaries batch-norm, every zero edge a zero tensor
+    shaped like its source, and each node the left-to-right sum of its
+    inputs in EDGES order."""
+    from naswot.searchspace import EDGES, OpKind
+
+    states = {0: x}
+    for dest in (1, 2, 3):
+        acc = None
+        for k, (src, d) in enumerate(EDGES):
+            if d != dest:
+                continue
+            a, op = states[src], ops[k]
+            if op is OpKind.ZEROISE:
+                y = np.zeros_like(a)
+            elif op is OpKind.IDENTITY:
+                y = a
+            elif op is OpKind.AVGPOOL_3X3:
+                y = avg_pool_window_mean(a, 3, 1, 1)
+            else:
+                if recorder is not None:
+                    recorder.record(a)
+                w = kernels[k]
+                y = conv2d_window_im2col(np.maximum(a, 0.0), w, 1, w.shape[-1] // 2)
+                y = batchnorm_float64_temporaries(y, epsilon)
+            acc = y if acc is None else acc + y
+        states[dest] = acc
+    return states[3]

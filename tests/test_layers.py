@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from naswot.layers import (
+    _BLOCK_BYTES,
     ShapeMismatch,
     avg_pool2d,
     batchnorm_batchstats,
@@ -37,6 +38,12 @@ def conv_shapes():
                 shapes |= {(n, c, 2 * c, 3, 2, h), (n, 2 * c, 2 * c, 3, 1, h // 2), (n, c, 2 * c, 1, 1, h // 2)}
                 c, h = 2 * c, h // 2
     return sorted(shapes)
+
+
+def cell_conv_shapes():
+    """Every (N, C, k, H) a preset's cells convolve: stride 1, C in and out."""
+    return [(n, config.stem_channels << s, k, config.input_shape[1] >> s)
+            for config, n in PRESETS for s in range(STAGES) for k in (3, 1)]
 
 
 def pool_shapes():
@@ -141,6 +148,20 @@ class TestConv2d:
             assert_same_bits_and_strides(conv2d(view, weights, stride, 1),
                                          conv2d_window_im2col(view, weights, stride, 1))
 
+    # a cell stacks the kernels of the m conv edges leaving one node; each
+    # output channel is the same K-long dot product as in a separate call
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n,c,kernel,h", cell_conv_shapes())
+    def test_stacked_kernels_give_bits_of_separate_calls(self, n, c, kernel, h, m):
+        rng = np.random.default_rng([n, c, kernel, h, m])
+        x = rng.standard_normal((n, c, h, h), dtype=np.float32)
+        weights = rng.standard_normal((m * c, c, kernel, kernel), dtype=np.float32)
+        for view in in_layouts(x):
+            stacked = conv2d(view, weights, 1, kernel // 2)
+            for j in range(m):
+                alone = conv2d(view, weights[j * c:(j + 1) * c], 1, kernel // 2)
+                assert np.array_equal(stacked[:, j * c:(j + 1) * c].view(np.uint32), alone.view(np.uint32))
+
     @pytest.mark.parametrize("shape,kernel,want", [((0, 3, 4, 4), 3, (0, 4, 4, 4)), ((2, 3, 0, 0), 1, (2, 4, 0, 0))])
     def test_empty_batch_or_image_gives_empty_output(self, shape, kernel, want):
         weights = np.zeros((4, 3, kernel, kernel), dtype=np.float32)
@@ -194,12 +215,15 @@ class TestBatchNorm:
         with pytest.raises(ValueError):
             batchnorm_batchstats(np.zeros((1, 1, 2, 2), dtype=np.float32), 1e-5)
 
+    # batch-norm sums in NHWC order and returns NHWC memory on every
+    # layout, so its oracle is the old expression on NHWC memory holding
+    # the same values
     @pytest.mark.parametrize("n,c,h", bn_shapes())
     def test_bit_identical_to_float64_temporaries(self, n, c, h):
         x = np.random.default_rng([n, c, h]).standard_normal((n, c, h, h), dtype=np.float32)
+        want = batchnorm_float64_temporaries(in_layouts(x)[1], 1e-5)
         for view in in_layouts(x):
-            assert_same_bits_and_strides(batchnorm_batchstats(view, 1e-5),
-                                         batchnorm_float64_temporaries(view, 1e-5))
+            assert_same_bits_and_strides(batchnorm_batchstats(view, 1e-5), want)
 
     # rounding to float32 hides most float64 summation-order changes in
     # the statistics; these inputs make them show in the output.  The
@@ -209,9 +233,31 @@ class TestBatchNorm:
     @pytest.mark.parametrize("make", [cancelling_batch, absorbing_batch])
     def test_bit_identical_where_summation_order_shows(self, n, c, h, make):
         x = make((n, c, h, h), np.random.default_rng([n, c, h]))
+        want = batchnorm_float64_temporaries(in_layouts(x)[1], 1e-5)
         for view in in_layouts(x):
-            assert_same_bits_and_strides(batchnorm_batchstats(view, 1e-5),
-                                         batchnorm_float64_temporaries(view, 1e-5))
+            assert_same_bits_and_strides(batchnorm_batchstats(view, 1e-5), want)
+
+    # parts=m is the batch-norm of m stacked convs: each run of C / m
+    # channels must come out as its own call would give it, in its own
+    # NHWC memory.  Batches fill one block of images, exactly three, or
+    # end in a half-full block; the sums carry from block to block.
+    @pytest.mark.parametrize("blocks", [1, 3, 2.5])
+    @pytest.mark.parametrize("parts,c", [(2, 16), (3, 24)])
+    @pytest.mark.parametrize("make", [cancelling_batch, absorbing_batch])
+    def test_parts_bit_identical_to_separate_calls(self, blocks, parts, c, make):
+        h, cp = 16, c // parts
+        n = int(blocks * (_BLOCK_BYTES // (32 * h * h * c)))  # images per block, as batch-norm sizes it
+        x = make((n, c, h, h), np.random.default_rng([n, c]))
+        for view in in_layouts(x):
+            got = batchnorm_batchstats(view, 1e-5, parts=parts)
+            assert len(got) == parts
+            for j, part in enumerate(got):
+                want = batchnorm_float64_temporaries(in_layouts(x[:, j * cp:(j + 1) * cp])[1], 1e-5)
+                assert_same_bits_and_strides(part, want)
+
+    def test_parts_must_divide_channels(self):
+        with pytest.raises(ShapeMismatch):
+            batchnorm_batchstats(np.zeros((2, 4, 2, 2), dtype=np.float32), 1e-5, parts=3)
 
     @pytest.mark.parametrize("eps", [0.0, 1e-5])
     def test_bit_identical_on_zero_variance_channels_at_batch_two(self, eps):
@@ -220,9 +266,9 @@ class TestBatchNorm:
         x[:, 1] = 3.25    # constant channel
         x[:, 4] = 0.0     # all-zero channel
         x[:, 5] = -0.0    # negative zeros
+        want = batchnorm_float64_temporaries(in_layouts(x)[1], eps)
         for view in in_layouts(x):
-            assert_same_bits_and_strides(batchnorm_batchstats(view, eps),
-                                         batchnorm_float64_temporaries(view, eps))
+            assert_same_bits_and_strides(batchnorm_batchstats(view, eps), want)
 
     def test_bit_identical_on_non_finite_inputs(self):
         x = np.random.default_rng(12).standard_normal((4, 5, 3, 3), dtype=np.float32)
@@ -230,10 +276,11 @@ class TestBatchNorm:
         x[2, 1, 0, 2] = np.inf
         x[3, 2, 2, 0] = -np.inf
         x[1, 3] = np.inf  # a whole image's channel
+        with np.errstate(invalid="ignore"):
+            want = batchnorm_float64_temporaries(in_layouts(x)[1], 1e-5)
         for view in in_layouts(x):
             with np.errstate(invalid="ignore"):
                 got = batchnorm_batchstats(view, 1e-5)
-                want = batchnorm_float64_temporaries(view, 1e-5)
             assert_same_bits_and_strides(got, want)
             assert np.isfinite(got[:, 4]).all() and not np.isfinite(got[:, :4]).any()
 

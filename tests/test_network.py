@@ -10,15 +10,16 @@ from naswot.network import (
     NonFiniteActivation,
     ReLU,
     Sequential,
+    _CodeRecorder,
     build_network,
     count_relu_units,
     forward_collect_codes,
 )
 from naswot.scoring import hamming_kernel
-from naswot.searchspace import Genotype, OpKind, as_generator, parse_arch, sample_uniform
+from naswot.searchspace import Genotype, OpKind, as_generator, format_arch, parse_arch, sample_uniform
 
 from make_golden import MIXED, TABLES
-from oracles import ChannelMajorRecorder
+from oracles import ChannelMajorRecorder, cell_kernels_in_draw_order, per_edge_cell_forward
 
 _, DESK_GOLDEN_CONFIG, DESK_GOLDEN_BATCH, _, DESK_GOLDEN_ARCHS = TABLES[0]
 
@@ -190,6 +191,37 @@ class TestCodeRecorder:
         with pytest.raises(RuntimeError, match="count_relu_units gives 3072"):
             forward_collect_codes(net, normal_batch(4, cfg.input_shape, 0))
 
+    # a node leading m conv edges records its site once with times=m; the
+    # packed codes equal m separate records, at byte-aligned and unaligned
+    # starts and for sites that end inside a byte
+    @pytest.mark.parametrize("lead", [0, 3, 8])
+    @pytest.mark.parametrize("site", [(2, 2, 2), (3, 1, 3)])
+    @pytest.mark.parametrize("times", [1, 2, 3])
+    def test_repeated_site_packs_like_separate_records(self, lead, site, times):
+        rng = np.random.default_rng([lead, *site, times])
+        first = rng.standard_normal((6, lead, 1, 1), dtype=np.float32)
+        x = rng.standard_normal((6, *site), dtype=np.float32)
+        last = rng.standard_normal((6, 5, 1, 1), dtype=np.float32)
+        n_units = lead + times * x[0].size + 5
+        once, apart = _CodeRecorder(6, n_units), _CodeRecorder(6, n_units)
+        once.record(first)
+        once.record(x, times=times)
+        once.record(last)
+        apart.record(first)
+        for _ in range(times):
+            apart.record(x)
+        apart.record(last)
+        want = ChannelMajorRecorder()
+        for y in (first, x, last):
+            want.record(y, times=times if y is x else 1)
+        assert np.array_equal(once.codes().words, apart.codes().words)
+        assert np.array_equal(sorted_columns(once.codes().unpack()), sorted_columns(want.bits()))
+
+    def test_repeated_site_past_the_unit_count_raises(self):
+        recorder = _CodeRecorder(2, 16)
+        with pytest.raises(RuntimeError, match="more units"):
+            recorder.record(np.ones((2, 2, 2, 2), dtype=np.float32), times=3)
+
 
 # hand-derived relu-unit table for the desk skeleton (stem 8, one cell
 # per stage, 8x8 input).  Each conv edge leads with one ReLU over the
@@ -204,6 +236,72 @@ def desk_unit_table(conv_edges: int) -> list[int]:
         conv_edges * 32 * 2 * 2,    # stage 3 cell      (32ch, 2x2)
         32 * 2 * 2,                 # final relu
     ]
+
+
+# genotypes covering every way a cell's conv edges group by (source node,
+# kernel size): node A leading one, two or three 3x3s, three 1x1s, or a
+# mix; node B leading two; every node leading some
+FUSED = {
+    "A1-B1": EXAMPLE,
+    "A2": "|nor_conv_3x3~0|+|nor_conv_3x3~0|none~1|+|skip_connect~0|avg_pool_3x3~1|none~2|",
+    "A3": "|nor_conv_3x3~0|+|nor_conv_3x3~0|skip_connect~1|+|nor_conv_3x3~0|none~1|avg_pool_3x3~2|",
+    "A3-1x1": "|nor_conv_1x1~0|+|nor_conv_1x1~0|avg_pool_3x3~1|+|nor_conv_1x1~0|skip_connect~1|none~2|",
+    "A-mixed": "|nor_conv_3x3~0|+|nor_conv_1x1~0|none~1|+|nor_conv_3x3~0|skip_connect~1|avg_pool_3x3~2|",
+    "B2": "|skip_connect~0|+|avg_pool_3x3~0|nor_conv_3x3~1|+|none~0|nor_conv_3x3~1|nor_conv_1x1~2|",
+    "all-conv": format_arch(Genotype.uniform(OpKind.CONV_3X3)),
+}
+
+
+def per_edge_forward(net, batch, recorder):
+    """The network's forward pass with every cell run edge by edge, on
+    kernels drawn in the per-edge build order."""
+    kernels = iter(cell_kernels_in_draw_order(net.genotype, net.config))
+    x = batch
+    for block in net.blocks:
+        if isinstance(block, Cell):
+            x = per_edge_cell_forward(net.genotype.ops, next(kernels), net.config.bn_epsilon, x, recorder)
+        else:
+            x = block.forward(x, recorder)
+    return x
+
+
+class TestFusedCell:
+    @pytest.mark.parametrize("config,batch_size,arch",
+                             [(DESK_GOLDEN_CONFIG, DESK_GOLDEN_BATCH, arch) for arch in FUSED.values()]
+                             + [(NetworkConfig(), 128, FUSED["A-mixed"])],
+                             ids=[f"desk-{name}" for name in FUSED] + ["full-A-mixed"])
+    def test_kernel_bit_identical_to_per_edge_cells(self, config, batch_size, arch):
+        net = build_network(parse_arch(arch), config)
+        batch = random_normal_batch((batch_size, *config.input_shape), 0)
+        oracle = ChannelMajorRecorder()
+        per_edge_forward(net, batch, oracle)
+        want = oracle.bits()
+        codes = forward_collect_codes(net, batch)
+        assert np.array_equal(hamming_kernel(codes).matrix,
+                              hamming_kernel(ActivationCodeMatrix.from_bits(want)).matrix)
+        assert np.array_equal(sorted_columns(codes.unpack()), sorted_columns(want))
+
+    # values and memory layout of a cell's output: the layout sets the
+    # summation order of the stride-2 pool that reads the last cell of a
+    # stage.  Zero edges drop out of the sums, but a node keeps the layout
+    # their zeros gave it.  Two channels, so every group is stacked.
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    def test_cell_output_equals_per_edge_cell_in_value_and_layout(self, layout):
+        config = NetworkConfig.desk(stem_channels=2)
+        gen = as_generator(21)
+        genotypes = [parse_arch(arch) for arch in FUSED.values()] + [sample_uniform(gen) for _ in range(150)]
+        genotypes += [Genotype.uniform(OpKind.ZEROISE),
+                      parse_arch("|avg_pool_3x3~0|+|none~0|none~1|+|nor_conv_3x3~0|none~1|none~2|"),
+                      parse_arch("|nor_conv_1x1~0|+|avg_pool_3x3~0|none~1|+|none~0|none~1|none~2|")]
+        x = normal_batch(3, (2, 8, 8), 22)
+        if layout == "nhwc":
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        for genotype in genotypes:
+            cell = next(b for b in build_network(genotype, config).blocks if isinstance(b, Cell))
+            kernels = cell_kernels_in_draw_order(genotype, config)[0]
+            got, want = cell.forward(x, None), per_edge_cell_forward(genotype.ops, kernels, config.bn_epsilon, x, None)
+            assert np.array_equal(got, want), format_arch(genotype)
+            assert got.strides == want.strides, format_arch(genotype)
 
 
 class TestUnitCounts:
