@@ -213,11 +213,16 @@ def _require_out(settings: dict, action: str) -> None:
         raise ValueError(f"{action} requires --out <path>")
 
 
+def _config_and_batch(settings: dict) -> tuple[NetworkConfig, np.ndarray]:
+    """The settings' network config, and their input batch."""
+    config = _network_config(settings)
+    return config, _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
+
+
 def _network_and_batch(settings: dict) -> tuple[Network, np.ndarray]:
     """The settings' arch built at their config, and their input batch."""
     genotype = parse_arch(settings["arch"])
-    config = _network_config(settings)
-    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
+    config, batch = _config_and_batch(settings)
     return build_network(genotype, config), batch
 
 
@@ -355,8 +360,7 @@ def _cmd_dump_kernel(settings: dict) -> int:
 def _cmd_search(settings: dict) -> int:
     if settings["n"] < 1:
         raise ValueError("--n must be at least 1")
-    config = _network_config(settings)
-    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
+    config, batch = _config_and_batch(settings)
     scorer = make_scorer(config, batch)
     jobs = settings["jobs"]
     if jobs > 1:
@@ -388,8 +392,7 @@ def _cmd_rea(settings: dict) -> int:
 def _cmd_area(settings: dict) -> int:
     table = _load_table(settings)
     evaluator = table.evaluator(settings["metric"])
-    config = _network_config(settings)
-    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
+    config, batch = _config_and_batch(settings)
     result = area_search(make_scorer(config, batch), evaluator, settings["pool"],
                          settings["pop"], settings["tournament"],
                          _resolve_budget(settings), settings["_arch_seed"])
@@ -400,8 +403,7 @@ def _cmd_area(settings: dict) -> int:
 
 def _cmd_correlate(settings: dict) -> int:
     table = _load_table(settings)
-    config = _network_config(settings)
-    batch = _batch_factory(settings, config)(settings["batch_size"], settings["_data_seed"])
+    config, batch = _config_and_batch(settings)
     report = correlate_space(
         table,
         lambda genotype, data: score_network(genotype, config, data),

@@ -10,6 +10,11 @@ Numerical contract: ``conv2d`` and ``avg_pool2d`` return the same bits
 and the same strides as the sliding-window expressions they replaced
 (kept as references in ``tests/oracles.py``), on the NCHW and NHWC
 memory layouts the forward pass produces, so every score is unchanged.
+For ``conv2d`` that holds from two output channels up: with one, numpy
+hands the one-column GEMM to a matrix-vector BLAS routine whose
+summation order follows the operands' layout, so only the values agree,
+at float32 tolerance.  Only one-channel cells (``stem_channels=1``)
+convolve to one channel, and no preset does.
 ``conv2d`` hands BLAS the same im2col matrix, staged channel-major and
 passed transposed, one block of images at a time: each output row is
 the dot product of one image patch with one filter over the same K

@@ -8,6 +8,12 @@ A network is built from one Genotype repeated through a fixed skeleton:
     -> stage 2 -> residual downsample -> stage 3
     -> BN + ReLU
 
+Only the cells change from one genotype to the next, so a ``Network``
+is plain weights: the stem kernel and a list of the three stages, each
+holding its downsample block's kernels (none in stage 1) and, per cell,
+its conv groups.  ``Network.forward`` runs that list as straight-line
+code, one function for a cell and one for a downsample block.
+
 Each cell realizes the genotype's 6 edges on the 4-node DAG; a node's
 state is the sum of its incoming edge outputs, added in EDGES order.
 Convolution edges are ReLU -> conv -> BN triplets, so every such edge
@@ -176,108 +182,49 @@ class _CodeRecorder:
         return ActivationCodeMatrix(words=self.packed.view(np.uint64), n_units=self.n_units)
 
 
-# ---------------------------------------------------------------------------
-# Layer graph.  Every piece answers forward(x, recorder); composites
-# walk their children.
-# ---------------------------------------------------------------------------
-
-
-class Conv:
-    def __init__(self, weights: np.ndarray, stride: int, padding: int) -> None:
-        self.weights = weights
-        self.stride = stride
-        self.padding = padding
-
-    def forward(self, x, recorder):
-        return conv2d(x, self.weights, self.stride, self.padding)
-
-
-class BatchNorm:
-    def __init__(self, epsilon: float) -> None:
-        self.epsilon = epsilon
-
-    def forward(self, x, recorder):
-        return batchnorm_batchstats(x, self.epsilon)
-
-
-class ReLU:
-    def forward(self, x, recorder):
-        if recorder is not None:
-            recorder.record(x)
-        return np.maximum(x, 0.0)
-
-
-class AvgPool:
-    def __init__(self, kernel: int, stride: int, padding: int) -> None:
-        self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
-
-    def forward(self, x, recorder):
-        return avg_pool2d(x, self.kernel, self.stride, self.padding)
-
-
-class Sequential:
-    def __init__(self, layers) -> None:
-        self.layers = list(layers)
-
-    def forward(self, x, recorder):
-        for layer in self.layers:
-            x = layer.forward(x, recorder)
-        return x
-
-
-class Cell:
+def _cell_forward(x, ops: tuple[OpKind, ...], cell_groups: list, epsilon: float, recorder):
     """One genotype cell; node state = sum of incoming edge outputs.
 
-    The conv edges leaving one node share its ReLU, and those of one
-    kernel size share one convolution and one batch-norm: ``groups``
-    holds, per (source node, kernel size) in EDGES order (per edge in a
-    one-channel cell), the source, the edges' kernels stacked along
-    C_out and the edge indices.
+    ``ops`` is aligned with EDGES.  The conv edges leaving one node share
+    its ReLU, and those of one kernel size share one convolution and one
+    batch-norm: ``cell_groups`` holds, per (source node, kernel size) in
+    EDGES order (per edge in a one-channel cell), the source, the edges'
+    kernels stacked along C_out and the edge indices.
     """
-
-    def __init__(self, ops: tuple[OpKind, ...], groups: list, epsilon: float) -> None:
-        self.ops = ops  # aligned with searchspace.EDGES
-        self.groups = groups  # [(source, stacked weights, edge indices)]
-        self.epsilon = epsilon
-
-    def forward(self, x, recorder):
-        states = [x]
-        # per node: the running sum of its non-zero inputs, and the
-        # sources of its zero inputs
-        sums: list = [None] * 4
-        zero_sources: list = [[] for _ in range(4)]
-        for src in (0, 1, 2):
-            if src:
-                states.append(_node_state(sums[src], zero_sources[src]))
-            a = states[src]
-            groups = [g for g in self.groups if g[0] == src]
-            convs = {}  # conv edge index -> its batch-norm output
-            if groups:
-                if recorder is not None:
-                    recorder.record(a, times=sum(len(edges) for _, _, edges in groups))
-                relu = np.maximum(a, 0.0)
-                for _, weights, edges in groups:
-                    y = conv2d(relu, weights, 1, weights.shape[-1] // 2)
-                    convs.update(zip(edges, batchnorm_batchstats(y, self.epsilon, parts=len(edges))))
-                    del y  # freed before the next group's conv
-                del relu
-            for k, (s, dest) in enumerate(EDGES):
-                if s != src:
-                    continue
-                op = self.ops[k]
-                if op is OpKind.ZEROISE:
-                    zero_sources[dest].append(a)
-                    continue
-                if op is OpKind.IDENTITY:
-                    y = a
-                elif op is OpKind.AVGPOOL_3X3:
-                    y = avg_pool2d(a, 3, 1, 1)
-                else:
-                    y = convs.pop(k)
-                sums[dest] = y if sums[dest] is None else sums[dest] + y
-        return _node_state(sums[3], zero_sources[3])
+    states = [x]
+    # per node: the running sum of its non-zero inputs, and the
+    # sources of its zero inputs
+    sums: list = [None] * 4
+    zero_sources: list = [[] for _ in range(4)]
+    for src in (0, 1, 2):
+        if src:
+            states.append(_node_state(sums[src], zero_sources[src]))
+        a = states[src]
+        groups = [g for g in cell_groups if g[0] == src]
+        convs = {}  # conv edge index -> its batch-norm output
+        if groups:
+            recorder.record(a, times=sum(len(edges) for _, _, edges in groups))
+            relu = np.maximum(a, 0.0)
+            for _, weights, edges in groups:
+                y = conv2d(relu, weights, 1, weights.shape[-1] // 2)
+                convs.update(zip(edges, batchnorm_batchstats(y, epsilon, parts=len(edges))))
+                del y  # freed before the next group's conv
+            del relu
+        for k, (s, dest) in enumerate(EDGES):
+            if s != src:
+                continue
+            op = ops[k]
+            if op is OpKind.ZEROISE:
+                zero_sources[dest].append(a)
+                continue
+            if op is OpKind.IDENTITY:
+                y = a
+            elif op is OpKind.AVGPOOL_3X3:
+                y = avg_pool2d(a, 3, 1, 1)
+            else:
+                y = convs.pop(k)
+            sums[dest] = y if sums[dest] is None else sums[dest] + y
+    return _node_state(sums[3], zero_sources[3])
 
 
 def _node_state(total, zero_sources: list):
@@ -297,25 +244,31 @@ def _node_state(total, zero_sources: list):
     return total
 
 
-class DownsampleBlock:
-    """Residual block: stride-2 double-conv main path, pooled 1x1 shortcut."""
+def _downsample_forward(x, kernels: tuple, epsilon: float, recorder):
+    """Residual block: stride-2 double-conv main path, pooled 1x1 shortcut.
 
-    def __init__(self, main: Sequential, shortcut: Sequential) -> None:
-        self.main = main
-        self.shortcut = shortcut
-
-    def forward(self, x, recorder):
-        # The main path ends in a fresh batch-norm output laid out like
-        # the shortcut's conv output, so adding into it in place gives
-        # the bits and strides of ``main + shortcut`` with one full-size
-        # buffer fewer.  A binary op on a large temporary would also make
-        # numpy check whether it may reuse that temporary, and its first
-        # such check allocates a thread-local block for the life of the
-        # process; placed high in a heap the forward pass has grown, that
-        # block keeps the freed memory below it resident.
-        out = self.main.forward(x, recorder)
-        out += self.shortcut.forward(x, recorder)
-        return out
+    ``kernels`` is (conv1, conv2, shortcut).  Each statement drops the
+    array before it as soon as the next is made, so no temporary
+    outlives its use.
+    """
+    conv1, conv2, shortcut = kernels
+    recorder.record(x)
+    out = conv2d(np.maximum(x, 0.0), conv1, 2, 1)
+    out = batchnorm_batchstats(out, epsilon)
+    recorder.record(out)
+    out = np.maximum(out, 0.0)
+    out = conv2d(out, conv2, 1, 1)
+    out = batchnorm_batchstats(out, epsilon)
+    # The main path ends in a fresh batch-norm output laid out like
+    # the shortcut's conv output, so adding into it in place gives
+    # the bits and strides of ``main + shortcut`` with one full-size
+    # buffer fewer.  A binary op on a large temporary would also make
+    # numpy check whether it may reuse that temporary, and its first
+    # such check allocates a thread-local block for the life of the
+    # process; placed high in a heap the forward pass has grown, that
+    # block keeps the freed memory below it resident.
+    out += conv2d(avg_pool2d(x, 2, 2, 0), shortcut, 1, 0)
+    return out
 
 
 @dataclass
@@ -324,29 +277,35 @@ class Network:
 
     genotype: Genotype
     config: NetworkConfig
-    blocks: list = field(repr=False)
+    stem: np.ndarray = field(repr=False)  # the stem's 3x3 kernel
+    # per stage: its downsample block's kernels (None in stage 1), and
+    # per cell its conv groups
+    stages: list = field(repr=False)
 
-    def forward(self, batch: np.ndarray, recorder: _CodeRecorder | None = None) -> np.ndarray:
-        x = batch
-        for block in self.blocks:
-            x = block.forward(x, recorder)
-        return x
+    def forward(self, batch: np.ndarray, recorder: _CodeRecorder) -> None:
+        """Run the skeleton on a float32 batch, handing ``recorder`` each
+        ReLU site's pre-activation in forward order."""
+        eps = self.config.bn_epsilon
+        x = conv2d(batch, self.stem, 1, 1)
+        x = batchnorm_batchstats(x, eps)
+        for downsample, cells in self.stages:
+            if downsample is not None:
+                x = _downsample_forward(x, downsample, eps, recorder)
+            for cell_groups in cells:
+                x = _cell_forward(x, self.genotype.ops, cell_groups, eps, recorder)
+        # the final ReLU's output reaches no score; its site does
+        recorder.record(batchnorm_batchstats(x, eps))
 
 
 _KERNEL_SIZE = {OpKind.CONV_3X3: 3, OpKind.CONV_1X1: 1}
 
 
-def _he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    std = math.sqrt(2.0 / fan_in)
-    return rng.standard_normal(shape, dtype=np.float32) * np.float32(std)
+def _he_normal(rng: np.random.Generator, c_out: int, c_in: int, kernel: int) -> np.ndarray:
+    std = math.sqrt(2.0 / (c_in * kernel * kernel))
+    return rng.standard_normal((c_out, c_in, kernel, kernel), dtype=np.float32) * np.float32(std)
 
 
-def _conv_layer(rng, c_in: int, c_out: int, kernel: int, stride: int) -> Conv:
-    w = _he_normal(rng, (c_out, c_in, kernel, kernel), fan_in=c_in * kernel * kernel)
-    return Conv(w, stride=stride, padding=kernel // 2)
-
-
-def _make_cell(genotype: Genotype, rng, channels: int, eps: float) -> Cell:
+def _cell_groups(genotype: Genotype, rng, channels: int) -> list:
     # kernels are drawn edge by edge in EDGES order, then stacked per
     # (source, kernel size).  numpy sums a one-channel batch-norm pairwise
     # but a wider one row by row, so one-channel convs stay unstacked.
@@ -355,31 +314,9 @@ def _make_cell(genotype: Genotype, rng, channels: int, eps: float) -> Cell:
         if op in _KERNEL_SIZE:
             size, src = _KERNEL_SIZE[op], EDGES[k][0]
             _, kernels, edges = groups.setdefault((src, size) if channels > 1 else k, (src, [], []))
-            kernels.append(_he_normal(rng, (channels, channels, size, size), fan_in=channels * size * size))
+            kernels.append(_he_normal(rng, channels, channels, size))
             edges.append(k)
-    return Cell(genotype.ops, [(src, np.concatenate(kernels), edges) for src, kernels, edges in groups.values()],
-                eps)
-
-
-def _make_downsample(rng, c_in: int, eps: float) -> DownsampleBlock:
-    c_out = 2 * c_in
-    main = Sequential(
-        [
-            ReLU(),
-            _conv_layer(rng, c_in, c_out, 3, stride=2),
-            BatchNorm(eps),
-            ReLU(),
-            _conv_layer(rng, c_out, c_out, 3, stride=1),
-            BatchNorm(eps),
-        ]
-    )
-    shortcut = Sequential(
-        [
-            AvgPool(2, stride=2, padding=0),
-            _conv_layer(rng, c_in, c_out, 1, stride=1),
-        ]
-    )
-    return DownsampleBlock(main, shortcut)
+    return [(src, np.concatenate(kernels), edges) for src, kernels, edges in groups.values()]
 
 
 def build_network(genotype: Genotype, config: NetworkConfig) -> Network:
@@ -387,29 +324,30 @@ def build_network(genotype: Genotype, config: NetworkConfig) -> Network:
 
     Structure and weights are a pure function of (genotype, config):
     weight arrays are drawn from a single seeded stream in fixed build
-    order (stem, stage cells, downsample blocks).
+    order: the stem, then per stage the downsample block's conv1, conv2
+    and shortcut (from stage 2 on) and each cell's conv edges.
     """
     rng = np.random.default_rng(config.init_seed)
-    eps = config.bn_epsilon
-    c_in = config.input_shape[0]
     channels = config.stem_channels
-
-    blocks: list = [Sequential([_conv_layer(rng, c_in, channels, 3, 1), BatchNorm(eps)])]
+    stem = _he_normal(rng, channels, config.input_shape[0], 3)
+    stages = []
     for stage in range(3):
+        downsample = None
         if stage > 0:
-            blocks.append(_make_downsample(rng, channels, eps))
-            channels *= 2
-        for _ in range(config.cells_per_stage):
-            blocks.append(_make_cell(genotype, rng, channels, eps))
-    blocks.append(Sequential([BatchNorm(eps), ReLU()]))
-    return Network(genotype=genotype, config=config, blocks=blocks)
+            c_out = 2 * channels
+            downsample = (_he_normal(rng, c_out, channels, 3), _he_normal(rng, c_out, c_out, 3),
+                          _he_normal(rng, c_out, channels, 1))
+            channels = c_out
+        stages.append((downsample, [_cell_groups(genotype, rng, channels) for _ in range(config.cells_per_stage)]))
+    return Network(genotype=genotype, config=config, stem=stem, stages=stages)
 
 
 def forward_collect_codes(net: Network, batch: np.ndarray) -> ActivationCodeMatrix:
     """Run the forward pass and return the packed activation codes.
 
     Raises NonFiniteActivation if any ReLU pre-activation is NaN or
-    infinite; the last layer is a ReLU, so that covers the output too.
+    infinite; the last site is the final batch-norm's output, so that
+    covers the output too.
     """
     expected = net.config.input_shape
     if batch.ndim != 4 or batch.shape[1:] != expected:

@@ -2,11 +2,12 @@
 
 Everything here is written the slow, obvious way (per-element loops,
 textbook formulas) so that agreement with the fast library paths is
-meaningful evidence rather than a tautology.  The five pieces at the
-end are the exception: they are the earlier vectorized conv, pool and
-batch-norm, which the faster ones must match bit for bit, the earlier
-code recorder, whose kernels the packing one must match, and the earlier
-per-edge cell, whose kernels the fused one must match.
+meaningful evidence rather than a tautology.  The pieces from
+``conv2d_window_im2col`` on are the exception: they are the earlier
+vectorized conv, pool and batch-norm, which the faster ones must match
+bit for bit, the earlier code recorder, whose kernels the packing one
+must match, and the earlier per-edge cell with its kernel draw, whose
+kernels the fused one must match.
 """
 
 import math
@@ -164,7 +165,8 @@ def batchnorm_float64_temporaries(x: np.ndarray, epsilon: float) -> np.ndarray:
 
 class ChannelMajorRecorder:
     """The recorder that copies each site's sign bits channel-major and
-    concatenates the sites at the end; pass it to ``Network.forward``."""
+    concatenates the sites at the end; it goes wherever the forward pass
+    takes a recorder."""
 
     def __init__(self) -> None:
         self.site_bits: list[np.ndarray] = []
@@ -226,8 +228,7 @@ def per_edge_cell_forward(ops, kernels: dict, epsilon: float, x: np.ndarray, rec
             elif op is OpKind.AVGPOOL_3X3:
                 y = avg_pool_window_mean(a, 3, 1, 1)
             else:
-                if recorder is not None:
-                    recorder.record(a)
+                recorder.record(a)
                 w = kernels[k]
                 y = conv2d_window_im2col(np.maximum(a, 0.0), w, 1, w.shape[-1] // 2)
                 y = batchnorm_float64_temporaries(y, epsilon)

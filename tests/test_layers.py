@@ -115,11 +115,16 @@ class TestConv2d:
         for corner in ((0, 0), (0, 2), (2, 0), (2, 2)):
             assert out[corner] == 4.0
 
-    @pytest.mark.parametrize("stride,padding,kernel", [(1, 1, 3), (2, 1, 3), (1, 0, 1), (2, 0, 1)])
-    def test_matches_direct_loop_oracle(self, stride, padding, kernel):
+    # one output channel included: conv2d does not give the window-im2col
+    # bits there (see layers), only values at float32 tolerance
+    @pytest.mark.parametrize("stride,padding,kernel,c_out",
+                             [pytest.param(*case, 4, id="-".join(map(str, case)))
+                              for case in [(1, 1, 3), (2, 1, 3), (1, 0, 1), (2, 0, 1)]]
+                             + [pytest.param(1, 1, 3, 1, id="1-1-3-c_out1")])
+    def test_matches_direct_loop_oracle(self, stride, padding, kernel, c_out):
         rng = np.random.default_rng(stride * 10 + padding)
         x = rng.standard_normal((2, 3, 8, 8), dtype=np.float32)
-        weights = rng.standard_normal((4, 3, kernel, kernel), dtype=np.float32)
+        weights = rng.standard_normal((c_out, 3, kernel, kernel), dtype=np.float32)
         got = conv2d(x, weights, stride, padding)
         want = conv2d_loops(x, weights, stride, padding)
         assert got.shape == want.shape

@@ -1,22 +1,24 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import naswot.network
 from naswot.benchdata import random_normal_batch
+from naswot.layers import avg_pool2d, batchnorm_batchstats, conv2d
 from naswot.network import (
     ActivationCodeMatrix,
-    Cell,
-    DownsampleBlock,
     NetworkConfig,
     NonFiniteActivation,
-    ReLU,
-    Sequential,
     _CodeRecorder,
+    _cell_forward,
+    _downsample_forward,
     build_network,
     count_relu_units,
     forward_collect_codes,
 )
 from naswot.scoring import hamming_kernel
-from naswot.searchspace import Genotype, OpKind, as_generator, format_arch, parse_arch, sample_uniform
+from naswot.searchspace import EDGES, Genotype, OpKind, as_generator, format_arch, parse_arch, sample_uniform
 
 from make_golden import MIXED, TABLES
 from oracles import ChannelMajorRecorder, cell_kernels_in_draw_order, per_edge_cell_forward
@@ -80,26 +82,30 @@ class TestBuildForward:
         # node D receives A over 4 paths (direct, via B, via C, via B->C),
         # so with identity edges the cell is exactly 4x the input
         net = build_network(Genotype.uniform(OpKind.IDENTITY), NetworkConfig.desk())
-        cell = next(b for b in net.blocks if isinstance(b, Cell))
         x = normal_batch(2, (8, 8, 8), 1)
-        assert np.array_equal(cell.forward(x, None), 4.0 * x)
+        got = _cell_forward(x, net.genotype.ops, net.stages[0][1][0], net.config.bn_epsilon, ChannelMajorRecorder())
+        assert np.array_equal(got, 4.0 * x)
 
     def test_all_zeroise_cell_outputs_zero(self):
         net = build_network(Genotype.uniform(OpKind.ZEROISE), NetworkConfig.desk())
-        cell = next(b for b in net.blocks if isinstance(b, Cell))
         x = normal_batch(2, (8, 8, 8), 2)
-        assert not cell.forward(x, None).any()
+        got = _cell_forward(x, net.genotype.ops, net.stages[0][1][0], net.config.bn_epsilon, ChannelMajorRecorder())
+        assert not got.any()
 
     @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
     def test_downsample_block_gives_bits_and_strides_of_branch_sum(self, layout):
         net = build_network(parse_arch(EXAMPLE), NetworkConfig.desk())
-        block = next(b for b in net.blocks if isinstance(b, DownsampleBlock))
+        kernels = net.stages[1][0]
+        conv1, conv2, shortcut = kernels
+        eps = net.config.bn_epsilon
         x = normal_batch(4, (8, 8, 8), 6)
         if layout == "nhwc":
             x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         before = x.copy()
-        expected = block.main.forward(x, None) + block.shortcut.forward(x, None)
-        got = block.forward(x, None)
+        main = batchnorm_batchstats(conv2d(np.maximum(x, 0.0), conv1, 2, 1), eps)
+        main = batchnorm_batchstats(conv2d(np.maximum(main, 0.0), conv2, 1, 1), eps)
+        expected = main + conv2d(avg_pool2d(x, 2, 2, 0), shortcut, 1, 0)
+        got = _downsample_forward(x, kernels, eps, ChannelMajorRecorder())
         assert got.strides == expected.strides
         assert np.array_equal(got.view(np.uint32), expected.view(np.uint32))
         assert np.array_equal(x, before)
@@ -143,7 +149,7 @@ class TestBuildForward:
 
     def test_non_finite_weights_raise(self):
         net = build_network(parse_arch(EXAMPLE), NetworkConfig.desk())
-        net.blocks[0].layers[0].weights[0, 0, 0, 0] = np.nan
+        net.stem[0, 0, 0, 0] = np.nan
         with pytest.raises(NonFiniteActivation):
             forward_collect_codes(net, normal_batch(4, (3, 8, 8), 0))
 
@@ -180,14 +186,14 @@ class TestCodeRecorder:
     def test_more_units_than_counted_raises(self):
         cfg = NetworkConfig.desk()
         net = build_network(parse_arch(EXAMPLE), cfg)
-        net.blocks.append(Sequential([ReLU()]))  # a site count_relu_units does not know
+        net.stages[0][1].append(net.stages[0][1][0])  # a cell count_relu_units does not know
         with pytest.raises(RuntimeError, match="more units"):
             forward_collect_codes(net, normal_batch(4, cfg.input_shape, 0))
 
     def test_fewer_units_than_counted_raises(self):
         cfg = NetworkConfig.desk()
         net = build_network(parse_arch(EXAMPLE), cfg)
-        net.blocks.pop()  # drops the final BN + ReLU site
+        net.stages[0][1].pop()  # drops the stage-1 cell's sites
         with pytest.raises(RuntimeError, match="count_relu_units gives 3072"):
             forward_collect_codes(net, normal_batch(4, cfg.input_shape, 0))
 
@@ -256,13 +262,10 @@ def per_edge_forward(net, batch, recorder):
     """The network's forward pass with every cell run edge by edge, on
     kernels drawn in the per-edge build order."""
     kernels = iter(cell_kernels_in_draw_order(net.genotype, net.config))
-    x = batch
-    for block in net.blocks:
-        if isinstance(block, Cell):
-            x = per_edge_cell_forward(net.genotype.ops, next(kernels), net.config.bn_epsilon, x, recorder)
-        else:
-            x = block.forward(x, recorder)
-    return x
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(naswot.network, "_cell_forward", lambda x, ops, _, epsilon, recorder:
+                      per_edge_cell_forward(ops, next(kernels), epsilon, x, recorder))
+        net.forward(batch, recorder)
 
 
 class TestFusedCell:
@@ -297,11 +300,44 @@ class TestFusedCell:
         if layout == "nhwc":
             x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         for genotype in genotypes:
-            cell = next(b for b in build_network(genotype, config).blocks if isinstance(b, Cell))
+            groups = build_network(genotype, config).stages[0][1][0]
             kernels = cell_kernels_in_draw_order(genotype, config)[0]
-            got, want = cell.forward(x, None), per_edge_cell_forward(genotype.ops, kernels, config.bn_epsilon, x, None)
+            got = _cell_forward(x, genotype.ops, groups, config.bn_epsilon, ChannelMajorRecorder())
+            want = per_edge_cell_forward(genotype.ops, kernels, config.bn_epsilon, x, ChannelMajorRecorder())
             assert np.array_equal(got, want), format_arch(genotype)
             assert got.strides == want.strides, format_arch(genotype)
+
+
+class TestLayerCalls:
+    # the benchmark's traced run times each layer kind by rebinding these
+    # names in naswot.network, so a forward pass must call every conv,
+    # batch-norm and pool through them: the stem conv + BN, three convs and
+    # two BNs per downsample block plus its shortcut pool, per cell one conv
+    # and one BN per (source, kernel size) group and one pool per pool
+    # edge, and the final BN
+    @pytest.mark.parametrize("arch", FUSED.values(), ids=FUSED.keys())
+    def test_forward_calls_layers_once_per_group(self, arch, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            fn = getattr(naswot.network, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for name in ("conv2d", "batchnorm_batchstats", "avg_pool2d"):
+            monkeypatch.setattr(naswot.network, name, counting(name))
+        config = NetworkConfig.desk(cells_per_stage=2)
+        genotype = parse_arch(arch)
+        forward_collect_codes(build_network(genotype, config), normal_batch(4, config.input_shape, 0))
+        groups = len({(EDGES[k][0], op) for k, op in enumerate(genotype.ops)
+                      if op in (OpKind.CONV_3X3, OpKind.CONV_1X1)})
+        cells = 3 * config.cells_per_stage
+        assert calls == {"conv2d": 1 + 3 * 2 + cells * groups,
+                         "batchnorm_batchstats": 1 + 2 * 2 + cells * groups + 1,
+                         "avg_pool2d": 2 + cells * genotype.ops.count(OpKind.AVGPOOL_3X3)}
 
 
 class TestUnitCounts:
