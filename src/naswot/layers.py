@@ -50,9 +50,26 @@ numpy sums a lone channel pairwise, in runs set by its cast buffer, so
 a one-channel batch is one block and keeps that ``np.add.reduce`` call.
 The tests check blocked, one-block and split batches on inputs built so
 that another summation order shows in the float32 output.
+
+A call that touches ``_SPLIT_BYTES`` or more splits its work into one
+contiguous part per CPU in the process's affinity mask (``_split``);
+the code recorder and the Hamming kernel use the same helper.  Every
+part runs the same operations a one-part call runs, on its own rows of
+buffers the caller made: runs of images for ``conv2d`` (blocked as
+above inside each part), both pools (the stride-2 window mean into an
+output laid out as numpy lays out its own, so it adds in the same
+order), ``relu``, ``add``, the code recorder and batch-norm's third
+pass; pairs of row blocks for the Hamming kernel, whose entries are
+integers.  Batch-norm's two sums are not split: each channel's sum
+stays one sequence of additions, taken by the caller.  So no bit or
+stride depends on the part count, and ``taskset`` to one CPU gives the
+same scores.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,12 +79,77 @@ __all__ = [
     "conv2d",
     "batchnorm_batchstats",
     "avg_pool2d",
+    "relu",
+    "add",
 ]
 
 
 # bytes of im2col columns per block of images: about one core's L2, so
 # each block's GEMM reads its columns from cache, not DRAM
 _BLOCK_BYTES = 2 << 20
+
+# the CPUs this process may run on: a large call splits into one part each
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# bytes a call must touch before splitting it pays: below this the
+# hand-off, and reading the other core's cache after it, cost more than
+# the second core saves (split from 2 MB up, desk-preset scoring at batch
+# 128 ran ~25% slower)
+_SPLIT_BYTES = 4 << 20
+_pool = None  # a ThreadPoolExecutor, made by the first call that splits
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the pool's threads; it makes its own pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _split(n: int, nbytes: int, work, scratch=None) -> None:
+    """Run ``work(start, stop)`` over contiguous parts of range(n), one per CPU.
+
+    A call touching fewer than ``_SPLIT_BYTES`` is one part.  Otherwise
+    the caller runs the first part and the shared pool the others; a
+    part the pool has not started by the time the caller is done is
+    cancelled and run by the caller, so threads that share the pool
+    (``search --jobs``) never wait on its queue.  With ``scratch``, each
+    part runs ``work(start, stop, scratch(start, stop))``, every buffer
+    made by the caller first, so the pool's threads allocate no large
+    array.  Every part has finished, or was cancelled, before this
+    returns or raises the first error a part raised.
+    """
+    global _pool
+    parts = min(_WORKERS, n) if nbytes >= _SPLIT_BYTES else 1
+    if parts <= 1:
+        return work(0, n, scratch(0, n)) if scratch else work(0, n)
+    cuts = [n * p // parts for p in range(parts + 1)]
+    args = [(a, b, scratch(a, b)) if scratch else (a, b) for a, b in zip(cuts, cuts[1:])]
+    with _pool_lock:
+        if _pool is None:
+            # imported here, so processes that never split skip its import time
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="naswot-split")
+        handed = [(_pool.submit(work, *a), a) for a in args[1:]]
+    error = None
+    try:
+        work(*args[0])
+    except BaseException as exc:
+        error = exc
+    for future, a in handed:
+        if not future.cancel():
+            exc = future.exception()  # waits for the part to finish
+            error = error or exc
+        elif error is None:
+            try:
+                work(*a)
+            except BaseException as exc:
+                error = exc
+    if error is not None:
+        raise error
 
 
 class ShapeMismatch(ValueError):
@@ -96,22 +178,29 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0
     nb = max(1, min(n, _BLOCK_BYTES // max(1, k * m * x.itemsize)))
     wmat = weights.reshape(c_out, k).T
     out = np.empty((n * m, c_out), dtype=np.result_type(x, weights))
-    # the block's images, channel-major, inside a zero border that stays
-    # zero because only the interior is ever written
-    padded = np.zeros((c_in, nb, h, w), dtype=x.dtype)
-    cols_buf = np.empty(k * nb * m, dtype=x.dtype)
-    for i in range(0, n, nb):
-        b = min(nb, n - i)
-        src = padded[:, :b]
-        src[:, :, padding:h - padding, padding:w - padding] = x[i:i + b].transpose(1, 0, 2, 3)
-        # im2col staged as (C_in, kh, kw, b, oh, ow): one contiguous block
-        # copy per kernel tap; its transpose is the block's
-        # (b*oh*ow, C_in*kh*kw) column matrix in F order
-        cols = cols_buf[:k * b * m].reshape(c_in, kh, kw, b, oh, ow)
-        for dy in range(kh):
-            for dx in range(kw):
-                cols[:, dy, dx] = src[:, :, dy:dy + stride * (oh - 1) + 1:stride, dx:dx + stride * (ow - 1) + 1:stride]
-        np.matmul(cols.reshape(k, b * m).T, wmat, out=out[i * m:(i + b) * m])
+
+    def images(start: int, stop: int, scratch: tuple) -> None:
+        """Images start...stop-1, nb at a time, into their output rows."""
+        # the block's images, channel-major, inside a zero border that
+        # stays zero because only the interior is ever written
+        padded, cols_buf = scratch
+        for i in range(start, stop, nb):
+            b = min(nb, stop - i)
+            src = padded[:, :b]
+            src[:, :, padding:h - padding, padding:w - padding] = x[i:i + b].transpose(1, 0, 2, 3)
+            # im2col staged as (C_in, kh, kw, b, oh, ow): one contiguous
+            # block copy per kernel tap; its transpose is the block's
+            # (b*oh*ow, C_in*kh*kw) column matrix in F order
+            cols = cols_buf[:k * b * m].reshape(c_in, kh, kw, b, oh, ow)
+            for dy in range(kh):
+                for dx in range(kw):
+                    cols[:, dy, dx] = src[:, :, dy:dy + stride * (oh - 1) + 1:stride,
+                                          dx:dx + stride * (ow - 1) + 1:stride]
+            np.matmul(cols.reshape(k, b * m).T, wmat, out=out[i * m:(i + b) * m])
+
+    _split(n, n * k * m * x.itemsize, images,
+           lambda start, stop: (np.zeros((c_in, min(nb, stop - start), h, w), dtype=x.dtype),
+                                np.empty(k * min(nb, stop - start) * m, dtype=x.dtype)))
     return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
 
@@ -152,14 +241,14 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None
     # sums a lone channel pairwise, not row by row, so one channel is
     # always one block.
     nb = n if c == 1 else max(1, min(n, _BLOCK_BYTES // (32 * max(1, hw * c))))
-    blocks = range(0, n, nb)
+    one_block = nb >= n
     # row 0 holds the per-channel sums carried from the blocks before
     buf = np.empty((1 + nb * hw, c))
 
-    def load(i: int) -> np.ndarray:
-        """Block i's pixels as float64 rows of C channels."""
-        b = min(nb, n - i)
-        rows = buf[1:1 + b * hw]
+    def load(into: np.ndarray, i: int, b: int) -> np.ndarray:
+        """Images i...i+b-1 as float64 rows of C channels, in into's rows
+        from 1 on."""
+        rows = into[1:1 + b * hw]
         rows.reshape(b, h, w, c)[...] = nhwc[i:i + b]
         return rows
 
@@ -172,35 +261,46 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None
 
     # pass 1: the mean
     total = None
-    for i in blocks:
-        rows = load(i)
+    for i in range(0, n, nb):
+        rows = load(buf, i, min(nb, n - i))
         if c > 1:
             total = _carried_sum(buf, rows, total)
     if c == 1:
         total = np.add.reduce(x, axis=(0, 2, 3), dtype=np.float64)
     mean = np.tile(total / count, hw)
     # pass 2: the variance; a one-block batch keeps its deviations for pass 3
-    if len(blocks) == 1:
+    if one_block:
         per_image(np.subtract, rows, mean)
         total = np.add.reduce(np.square(rows), axis=0)
     else:
         total = None
-        for i in blocks:
-            rows = load(i)
+        for i in range(0, n, nb):
+            rows = load(buf, i, min(nb, n - i))
             per_image(np.subtract, rows, mean)
             total = _carried_sum(buf, np.square(rows, out=rows), total)
     denom = np.sqrt(total / count + epsilon)
     # A zero denominator implies every deviation in the channel is zero.
     denom = np.tile(np.where(denom == 0.0, 1.0, denom), hw)
-    # pass 3: deviations over the denominators, rounded to float32 on store
     outs = [np.empty((count, cp), dtype=np.float32) for _ in range(parts or 1)]
-    for i in blocks:
-        if len(blocks) > 1:
-            rows = load(i)
-            per_image(np.subtract, rows, mean)
-        per_image(np.divide, rows, denom)
-        for j, out in enumerate(outs):
-            out[i * hw:i * hw + len(rows)] = rows[:, j * cp:(j + 1) * cp]
+
+    def normalize(start: int, stop: int, own: np.ndarray) -> None:
+        """Pass 3 over images start...stop-1: deviations over the
+        denominators, rounded to float32 on store."""
+        for i in range(start, stop, nb):
+            b = min(nb, stop - i)
+            if one_block:
+                rows = buf[1 + i * hw:1 + (i + b) * hw]
+            else:
+                rows = load(own, i, b)
+                per_image(np.subtract, rows, mean)
+            per_image(np.divide, rows, denom)
+            for j, out in enumerate(outs):
+                out[i * hw:(i + b) * hw] = rows[:, j * cp:(j + 1) * cp]
+
+    # the sums stay one part: split by channel, each part still pays
+    # numpy's inner-loop call per row and reads every cache line
+    _split(n, x.nbytes, normalize,
+           lambda start, stop: buf if start == 0 or one_block else np.empty((1 + min(nb, stop - start) * hw, c)))
     # one channel in NHWC memory is C order, and numpy gives it C strides
     views = [out.reshape(n, h, w, cp).transpose(0, 3, 1, 2) if cp > 1 else out.reshape(n, 1, h, w)
              for out in outs]
@@ -215,26 +315,61 @@ def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) ->
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"need a 4-d input, got {x.shape}")
-    if padding:
-        # the input inside a zero border, in C order whatever its layout
-        n, c, h, w = x.shape
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        padded[:, :, padding:padding + h, padding:padding + w] = x
-        x = padded
+    n, c, h, w = x.shape
     if stride != 1 or kernel == 1:
         # numpy's window mean sums a strided window in an order set by
         # which axis is innermost in memory, and the reference scores
         # encode that order; a 1x1 window has nothing to add up
+        if padding:
+            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+            padded[:, :, padding:padding + h, padding:padding + w] = x
+            x = padded
         windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-        return windows.mean(axis=(4, 5))
-    oh = x.shape[2] - kernel + 1
-    ow = x.shape[3] - kernel + 1
-    rows = x[..., 0:ow] + x[..., 1:1 + ow]
-    for dx in range(2, kernel):
-        rows += x[..., dx:dx + ow]
-    del x  # frees the padded copy before the second full-size buffer
-    out = rows[:, :, 0:oh] + rows[:, :, 1:1 + oh]
-    for dy in range(2, kernel):
-        out += rows[:, :, dy:dy + oh]
-    out /= kernel * kernel
+        # laid out like the mean numpy would make, so it adds in that order
+        out = np.empty_like(windows[..., 0, 0])
+        _split(n, x.nbytes, lambda start, stop: windows[start:stop].mean(axis=(4, 5), out=out[start:stop]))
+        return out
+    # the input inside a zero border, in C order whatever its layout
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype) if padding else x
+    oh = h + 2 * padding - kernel + 1
+    ow = w + 2 * padding - kernel + 1
+    # laid out like the sums numpy would make of the padded input
+    rows = np.empty_like(padded[..., :ow])
+
+    def row_sums(start: int, stop: int) -> None:
+        src = padded[start:stop]
+        if padding:
+            src[:, :, padding:padding + h, padding:padding + w] = x[start:stop]
+        part = rows[start:stop]
+        np.add(src[..., 0:ow], src[..., 1:1 + ow], out=part)
+        for dx in range(2, kernel):
+            part += src[..., dx:dx + ow]
+
+    _split(n, x.nbytes, row_sums)
+    del padded  # freed before the output buffer is made
+    out = np.empty_like(rows[:, :, :oh])
+
+    def column_sums(start: int, stop: int) -> None:
+        src, part = rows[start:stop], out[start:stop]
+        np.add(src[:, :, 0:oh], src[:, :, 1:1 + oh], out=part)
+        for dy in range(2, kernel):
+            part += src[:, :, dy:dy + oh]
+        part /= kernel * kernel
+
+    _split(n, x.nbytes, column_sums)
+    return out
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    """max(x, 0) elementwise, in x's memory layout."""
+    out = np.empty_like(x)
+    _split(len(x), x.nbytes, lambda start, stop: np.maximum(x[start:stop], 0.0, out=out[start:stop]))
+    return out
+
+
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b, laid out as numpy lays out the sum: like the operands when
+    their strides agree, in C order when they do not."""
+    out = np.empty_like(a) if a.strides == b.strides else np.empty(a.shape, dtype=np.result_type(a, b))
+    _split(len(a), a.nbytes, lambda start, stop: np.add(a[start:stop], b[start:stop], out=out[start:stop]))
     return out

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import avg_pool2d, batchnorm_batchstats, conv2d
+from .layers import _split, add, avg_pool2d, batchnorm_batchstats, conv2d, relu
 from .searchspace import EDGES, Genotype, OpKind
 
 __all__ = [
@@ -133,7 +133,8 @@ class _CodeRecorder:
     Each site's bits are taken in the site's own memory order, batch
     axis first, so no site is copied into channel-major order, and are
     packed as soon as they end on a byte boundary; a site that ends
-    inside a byte waits for the next.
+    inside a byte waits for the next.  A large site is checked, signed
+    and packed in runs of images, one per CPU (see ``layers``).
     """
 
     def __init__(self, n_inputs: int, n_units: int) -> None:
@@ -153,18 +154,27 @@ class _CodeRecorder:
         if self.filled + times * units > self.n_units:
             raise RuntimeError(f"ReLU sites hold more units than the {self.n_units} "
                                "that count_relu_units gives")
-        bits = np.isfinite(src)
-        if not bits.all():
-            raise NonFiniteActivation("NaN or Inf pre-activation at a ReLU site")
-        np.greater(src, 0, out=bits)
-        bits = bits.reshape(src.shape[0], units)
-        if self.filled % 8 == 0 and units % 8 == 0:
-            # packed once, copied into each repeat's bytes
-            packed = np.packbits(bits, axis=1)
-            for _ in range(times):
-                start = self.filled // 8
-                self.packed[:, start:start + packed.shape[1]] = packed
-                self.filled += units
+        n = src.shape[0]
+        bits = np.empty((n, units), dtype=bool)
+        aligned = self.filled % 8 == 0 and units % 8 == 0
+        first = self.filled // 8
+
+        def sign_bits(start: int, stop: int) -> None:
+            part = bits[start:stop].reshape(src[start:stop].shape)
+            np.isfinite(src[start:stop], out=part)
+            if not part.all():
+                raise NonFiniteActivation("NaN or Inf pre-activation at a ReLU site")
+            np.greater(src[start:stop], 0, out=part)
+            if aligned:
+                # packed once, copied into each repeat's bytes
+                packed = np.packbits(bits[start:stop], axis=1)
+                for t in range(times):
+                    at = first + t * packed.shape[1]
+                    self.packed[start:stop, at:at + packed.shape[1]] = packed
+
+        _split(n, src.nbytes, sign_bits)
+        if aligned:
+            self.filled += times * units
             return
         for _ in range(times):
             self.filled += units
@@ -204,12 +214,12 @@ def _cell_forward(x, ops: tuple[OpKind, ...], cell_groups: list, epsilon: float,
         convs = {}  # conv edge index -> its batch-norm output
         if groups:
             recorder.record(a, times=sum(len(edges) for _, _, edges in groups))
-            relu = np.maximum(a, 0.0)
+            activated = relu(a)
             for _, weights, edges in groups:
-                y = conv2d(relu, weights, 1, weights.shape[-1] // 2)
+                y = conv2d(activated, weights, 1, weights.shape[-1] // 2)
                 convs.update(zip(edges, batchnorm_batchstats(y, epsilon, parts=len(edges))))
                 del y  # freed before the next group's conv
-            del relu
+            del activated
         for k, (s, dest) in enumerate(EDGES):
             if s != src:
                 continue
@@ -223,7 +233,7 @@ def _cell_forward(x, ops: tuple[OpKind, ...], cell_groups: list, epsilon: float,
                 y = avg_pool2d(a, 3, 1, 1)
             else:
                 y = convs.pop(k)
-            sums[dest] = y if sums[dest] is None else sums[dest] + y
+            sums[dest] = y if sums[dest] is None else add(sums[dest], y)
     return _node_state(sums[3], zero_sources[3])
 
 
@@ -253,10 +263,10 @@ def _downsample_forward(x, kernels: tuple, epsilon: float, recorder):
     """
     conv1, conv2, shortcut = kernels
     recorder.record(x)
-    out = conv2d(np.maximum(x, 0.0), conv1, 2, 1)
+    out = conv2d(relu(x), conv1, 2, 1)
     out = batchnorm_batchstats(out, epsilon)
     recorder.record(out)
-    out = np.maximum(out, 0.0)
+    out = relu(out)
     out = conv2d(out, conv2, 1, 1)
     out = batchnorm_batchstats(out, epsilon)
     # The main path ends in a fresh batch-norm output laid out like

@@ -19,6 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .layers import _BLOCK_BYTES, _split
 from .network import ActivationCodeMatrix, NetworkConfig, NonFiniteActivation, build_network, forward_collect_codes
 from .searchspace import Genotype
 
@@ -98,17 +99,40 @@ def hamming_kernel(codes: ActivationCodeMatrix) -> HammingKernel:
     """K[i, j] = n_units - popcount(code_i XOR code_j), as float64.
 
     Works on the packed words directly: one XOR + bit count per row
-    pair, 64 code bits per word operation.  Only the upper triangle is
-    computed; the entries are integers, so the mirrored lower triangle
-    is exact.
+    pair, 64 code bits per word operation, a cache-sized block of row
+    pairs at a time.  Only the blocks from the diagonal on are computed,
+    each mirrored into the lower triangle, and large kernels split their
+    row blocks over the CPUs (see ``layers``); the entries are integers,
+    so every block, split and mirror is exact.
     """
     words = codes.words
-    n = words.shape[0]
+    n, n_words = words.shape
     out = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        dist = np.bitwise_count(words[i] ^ words[i:]).sum(axis=1)
-        out[i, i:] = codes.n_units - dist
-        out[i + 1:, i] = out[i, i + 1:]
+    # row pairs XORed per step, about half of one core's L2: a block of
+    # rows (one row of long codes) against as many columns as fit.  Each
+    # part's step buffer is live while the kernel is, so it stays small.
+    step = max(1, _BLOCK_BYTES // 2 // max(1, 8 * n_words))
+    r = max(1, min(n, step // max(1, n)))
+    blocks = -(-n // r)
+
+    def row_blocks(start: int, stop: int, scratch: tuple) -> None:
+        """Row blocks j and blocks-1-j for j in start...stop-1, from their
+        diagonal on: every such pair is about equal work."""
+        xor_buf, count_buf = scratch
+        for j in range(start, stop):
+            for i in {j * r, (blocks - 1 - j) * r}:
+                i1 = min(n, i + r)
+                cols = max(1, step // (i1 - i))
+                for k in range(i, n, cols):
+                    k1 = min(n, k + cols)
+                    xor = xor_buf[:(i1 - i) * (k1 - k) * n_words].reshape(i1 - i, k1 - k, n_words)
+                    np.bitwise_xor(words[i:i1, None], words[None, k:k1], out=xor)
+                    counts = np.bitwise_count(xor, out=count_buf[:xor.size].reshape(xor.shape))
+                    out[i:i1, k:k1] = codes.n_units - counts.sum(axis=2)
+                out[i1:, i:i1] = out[i:i1, i1:].T
+
+    _split((blocks + 1) // 2, words.nbytes + out.nbytes, row_blocks,
+           lambda start, stop: (np.empty(step * n_words, np.uint64), np.empty(step * n_words, np.uint8)))
     return HammingKernel(matrix=out, n_units=codes.n_units)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import naswot.layers
 from naswot.layers import (
     _BLOCK_BYTES,
     ShapeMismatch,
@@ -23,6 +24,14 @@ from oracles import (
 # (config, batch size) of the full and desk presets at their scoring batch
 PRESETS = [(NetworkConfig(), 128), (NetworkConfig.desk(), 32)]
 STAGES = 3  # the skeleton's fixed stage count
+
+
+@pytest.fixture(autouse=True)
+def split_in_two_at_least(monkeypatch):
+    """Calls at the full preset's shapes split in two or more parts, as
+    on any machine with two CPUs, so the oracles check the split path
+    (tests/test_split.py checks the shape does take it)."""
+    monkeypatch.setattr(naswot.layers, "_WORKERS", max(2, naswot.layers._WORKERS))
 
 
 def conv_shapes():
