@@ -1,123 +1,89 @@
 """Command-line entry point.
 
 Subcommands: score, search, rea, area, correlate, ablate, dump-kernel.
-Every run is fully determined by its resolved settings: defaults,
-overridden by a ``--config key=value`` file, overridden by explicit
-flags.  The single ``--seed`` splits into three independent streams
-(architecture sampling, weight init, data sampling) so each varies one
-factor; all output files start with ``# key=value`` lines echoing the
-resolved settings, and contain no timestamps, so reruns are
-byte-identical.
+Each setting is defined once, in one settings table: its value parser,
+its default and its flag, so config files and flags parse it alike.  A
+run is fully determined by its resolved settings: the defaults of the
+keys its subcommand reads, overridden by a ``--config key=value`` file,
+overridden by explicit flags.  The
+single ``--seed`` splits into three independent streams (architecture
+sampling, weight init, data sampling) so each varies one factor; all
+output files start with ``# key=value`` lines echoing the resolved
+settings, and contain no timestamps, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import math
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .benchdata import (
-    EvaluatorMiss,
-    EvaluatorTable,
-    MissingFile,
-    ParseError,
-    TruncatedRecord,
-    load_benchmark_csv,
-    load_cifar10_batch,
-)
-from .network import (
-    Network,
-    NetworkConfig,
-    NonFiniteActivation,
-    build_network,
-    forward_collect_codes,
-)
+from .benchdata import EvaluatorMiss, EvaluatorTable, load_benchmark_csv, load_cifar10_batch
+from .network import Network, NetworkConfig, NonFiniteActivation, build_network, forward_collect_codes
 from .scoring import HammingKernel, ScoreStatus, Score, hamming_kernel, logdet_score, make_scorer, normalize_kernel, score_network
 from .search import SearchResult, area_search, naswot_search, rea_search
-from .searchspace import MalformedArchString, as_generator, parse_arch, sample_uniform
-from .stats import (
-    AllSingularGroup,
-    DegenerateInput,
-    EmptyGroup,
-    ablation_run,
-    correlate_space,
-    normal_batch_factory,
-    normalize_by_min,
-)
+from .searchspace import as_generator, parse_arch, sample_uniform
+from .stats import ablation_run, correlate_space, normal_batch_factory, normalize_by_min
 
 __all__ = ["main"]
 
-_EXPECTED_ERRORS = (
-    MalformedArchString,
-    ParseError,
-    MissingFile,
-    TruncatedRecord,
-    EvaluatorMiss,
-    DegenerateInput,
-    EmptyGroup,
-    AllSingularGroup,
-    NonFiniteActivation,
-    ValueError,
-    OSError,
-)
-
-# every settable key with its value parser; config files and flags feed
-# through the same table so precedence is uniform
-_KEY_TYPES = {
-    "seed": int,
-    "batch_size": int,
-    "input": str,
-    "bench": str,
-    "dataset": str,
-    "n": int,
-    "pool": int,
-    "pop": int,
-    "tournament": int,
-    "budget": int,
-    "seconds": float,
-    "eval_cost": float,
-    "jobs": int,
-    "out": str,
-    "mode": str,
-    "repeats": int,
-    "metric": str,
-    "dump_kernel": str,
-    "preset": str,
-    "stem_channels": int,
-    "cells_per_stage": int,
-    "input_shape": lambda text: tuple(int(t) for t in text.replace("x", ",").split(",")),
-    "bn_epsilon": float,
-    "init_seed": int,
-}
-
-_DEFAULTS = {
-    "seed": 0,
-    "batch_size": 128,
-    "input": "random",
-    "n": 100,
-    "pool": 20,
-    "pop": 10,
-    "tournament": 5,
-    "budget": 100,
-    "jobs": 1,
-    "metric": "val_acc",
-    "repeats": 20,
-    "preset": "full",
-}
-
-_SUB_DEFAULTS = {
-    "correlate": {"n": 1000},
-    "ablate": {"batch_size": 32},
-}
+# every library error the CLI reports as one tagged line subclasses one
+# of these (MissingFile is an OSError, the parse and input errors are
+# ValueErrors)
+_EXPECTED_ERRORS = (ValueError, OSError, EvaluatorMiss, NonFiniteActivation)
 
 # preset name -> NetworkConfig constructor taking field overrides
 _PRESETS = {"full": NetworkConfig, "desk": NetworkConfig.desk}
+
+
+def _shape(text: str) -> tuple:
+    return tuple(int(t) for t in text.replace("x", ",").split(","))
+
+
+# every settable key: (value parser, default or None, argparse keywords
+# of its flag --key-with-dashes, or None for a key only a config file
+# sets); config files and flags feed through the same parser
+_SETTINGS = {
+    "seed": (int, 0, dict(help="master seed (split into arch/init/data streams)")),
+    "batch_size": (int, 128, {}),
+    "input": (str, "random", dict(help="batch source: random | cifar10:<dir>")),
+    "bench": (str, None, dict(help="accuracy table CSV")),
+    "dataset": (str, None, dict(help="dataset tag filter for --bench")),
+    "n": (int, 100, dict(help="sample count")),
+    "pool": (int, 20, dict(help="scored pool size")),
+    "pop": (int, 10, dict(help="population size")),
+    "tournament": (int, 5, {}),
+    "budget": (int, 100, dict(help="total evaluations")),
+    "seconds": (float, None, dict(help="time budget; needs --eval-cost")),
+    "eval_cost": (float, None, dict(help="assumed seconds per evaluation for --seconds")),
+    "jobs": (int, 1, dict(help="parallel scoring workers")),
+    "out": (str, None, dict(help="output file path")),
+    "mode": (str, None, dict(choices=["batches", "random_inputs", "inits", "batch_sizes"])),
+    "repeats": (int, 20, {}),
+    "metric": (str, "val_acc", dict(choices=["val_acc", "test_acc"])),
+    "dump_kernel": (str, None, dict(choices=["raw", "normalized"])),
+    "preset": (str, "full", dict(choices=sorted(_PRESETS), help="network size preset")),
+    "stem_channels": (int, None, None),
+    "cells_per_stage": (int, None, None),
+    "input_shape": (_shape, None, None),
+    "bn_epsilon": (float, None, None),
+    "init_seed": (int, None, None),
+}
+
+# subcommand -> defaults that differ from _SETTINGS'
+_SUB_DEFAULTS = {
+    "correlate": {"n": 1000},
+    "ablate": {"batch_size": 32},
+    "dump-kernel": {"dump_kernel": "raw"},
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -137,8 +103,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_config_file(path: str, command: str) -> dict:
-    read = ("seed", "out", *_SUBCOMMANDS[command][3])
+def _parse_config_file(path: str, command: str, read: Sequence[str]) -> dict:
     entries: dict = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
@@ -148,23 +113,26 @@ def _parse_config_file(path: str, command: str) -> dict:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _KEY_TYPES:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
         if key not in read:
             raise ValueError(f"{path}:{lineno}: {command} does not read setting {key!r}")
         try:
-            entries[key] = _KEY_TYPES[key](value.strip())
+            entries[key] = _SETTINGS[key][0](value.strip())
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {value.strip()!r}") from None
     return entries
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
+    """Only the keys the subcommand reads, so the output header echoes
+    nothing the run ignored."""
+    read = ("seed", "out", *_SUBCOMMANDS[args.command][3])
+    settings = {key: _SETTINGS[key][1] for key in read if _SETTINGS[key][1] is not None}
     settings.update(_SUB_DEFAULTS.get(args.command, {}))
-    if getattr(args, "config", None):
-        settings.update(_parse_config_file(args.config, args.command))
-    for key in _KEY_TYPES:
+    if args.config:
+        settings.update(_parse_config_file(args.config, args.command, read))
+    for key in read:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
@@ -173,17 +141,14 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
         settings["arch"] = args.arch
     if args.command == "ablate" and "mode" not in settings:
         raise ValueError("ablate requires --mode")
-    if settings["jobs"] < 1:
-        raise ValueError(f"--jobs must be at least 1, got {settings['jobs']}")
 
     # one master seed, three independent streams: architecture
     # sampling, weight init, data sampling
     children = np.random.SeedSequence(settings["seed"]).spawn(3)
     arch_seed, init_seed, data_seed = (int(c.generate_state(1)[0]) for c in children)
-    settings["_arch_seed"] = arch_seed
-    settings["_data_seed"] = data_seed
-    if "init_seed" not in settings:
-        settings["init_seed"] = init_seed
+    settings.update(_arch_seed=arch_seed, _data_seed=data_seed)
+    if "init_seed" in read:
+        settings.setdefault("init_seed", init_seed)
     return settings
 
 
@@ -303,7 +268,8 @@ def _run_log_rows(result: SearchResult):
         yield [cand.birth, str(cand.genotype), value, status, _acc_cell(accuracy)]
 
 
-def _print_chosen(result: SearchResult, *, with_accuracy: bool) -> None:
+def _report_search(settings: dict, result: SearchResult, *, with_accuracy: bool) -> None:
+    """Print the chosen candidate and write the run log."""
     chosen = result.chosen
     print(f"chosen {chosen.genotype}")
     if chosen.score is not None:
@@ -313,6 +279,7 @@ def _print_chosen(result: SearchResult, *, with_accuracy: bool) -> None:
     if with_accuracy:
         print(f"accuracy {_fmt6(chosen.accuracy)}")
     print(f"walltime {_fmt6(result.wall_time)}")
+    _write_csv(settings, ["index", "arch", "score", "status", "accuracy"], _run_log_rows(result))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +317,6 @@ def _dump_kernel_csv(settings: dict, kernel: HammingKernel) -> None:
 
 
 def _cmd_dump_kernel(settings: dict) -> int:
-    settings.setdefault("dump_kernel", "raw")
     _require_out(settings, "kernel dump")
     net, batch = _network_and_batch(settings)
     _dump_kernel_csv(settings, hamming_kernel(forward_collect_codes(net, batch)))
@@ -358,24 +324,27 @@ def _cmd_dump_kernel(settings: dict) -> int:
 
 
 def _cmd_search(settings: dict) -> int:
+    jobs = settings["jobs"]
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     if settings["n"] < 1:
         raise ValueError("--n must be at least 1")
     config, batch = _config_and_batch(settings)
     scorer = make_scorer(config, batch)
-    jobs = settings["jobs"]
-    if jobs > 1:
-        # pre-draw the same sample sequence, score unique genotypes in
-        # parallel, then replay; the outcome is independent of jobs
-        gen = as_generator(settings["_arch_seed"])
-        drawn = [sample_uniform(gen) for _ in range(settings["n"])]
-        unique = list(dict.fromkeys(drawn))
+    start = time.perf_counter()
+    # draw the sample sequence, score each distinct genotype once, then
+    # replay the draws; the outcome does not depend on jobs
+    gen = as_generator(settings["_arch_seed"])
+    drawn = [sample_uniform(gen) for _ in range(settings["n"])]
+    unique = list(dict.fromkeys(drawn))
+    if jobs == 1:
+        memo = dict(zip(unique, map(scorer, unique)))
+    else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             memo = dict(zip(unique, pool.map(scorer, unique)))
-        result = naswot_search(settings["n"], memo.__getitem__, settings["_arch_seed"], candidates=drawn)
-    else:
-        result = naswot_search(settings["n"], scorer, settings["_arch_seed"])
-    _print_chosen(result, with_accuracy=False)
-    _write_csv(settings, ["index", "arch", "score", "status", "accuracy"], _run_log_rows(result))
+    result = naswot_search(settings["n"], memo.__getitem__, settings["_arch_seed"], candidates=drawn)
+    result = dataclasses.replace(result, wall_time=time.perf_counter() - start)
+    _report_search(settings, result, with_accuracy=False)
     return 0
 
 
@@ -384,8 +353,7 @@ def _cmd_rea(settings: dict) -> int:
     evaluator = table.evaluator(settings["metric"])
     result = rea_search(evaluator, settings["pop"], settings["tournament"],
                         _resolve_budget(settings), settings["_arch_seed"])
-    _print_chosen(result, with_accuracy=True)
-    _write_csv(settings, ["index", "arch", "score", "status", "accuracy"], _run_log_rows(result))
+    _report_search(settings, result, with_accuracy=True)
     return 0
 
 
@@ -396,8 +364,7 @@ def _cmd_area(settings: dict) -> int:
     result = area_search(make_scorer(config, batch), evaluator, settings["pool"],
                          settings["pop"], settings["tournament"],
                          _resolve_budget(settings), settings["_arch_seed"])
-    _print_chosen(result, with_accuracy=True)
-    _write_csv(settings, ["index", "arch", "score", "status", "accuracy"], _run_log_rows(result))
+    _report_search(settings, result, with_accuracy=True)
     return 0
 
 
@@ -449,32 +416,6 @@ def _cmd_ablate(settings: dict) -> int:
     return 0
 
 
-# help text and choices of every flag, by settings key; the flag is the
-# key with "-" for "_", and its value parser is the key's in _KEY_TYPES
-# (str for --config, which names a file rather than a setting)
-_FLAGS = {
-    "seed": dict(help="master seed (split into arch/init/data streams)"),
-    "batch_size": {},
-    "input": dict(help="batch source: random | cifar10:<dir>"),
-    "bench": dict(help="accuracy table CSV"),
-    "dataset": dict(help="dataset tag filter for --bench"),
-    "n": dict(help="sample count"),
-    "pool": dict(help="scored pool size"),
-    "pop": dict(help="population size"),
-    "tournament": {},
-    "budget": dict(help="total evaluations"),
-    "seconds": dict(help="time budget; needs --eval-cost"),
-    "eval_cost": dict(help="assumed seconds per evaluation for --seconds"),
-    "jobs": dict(help="parallel scoring workers"),
-    "config": dict(help="key=value settings file"),
-    "out": dict(help="output file path"),
-    "metric": dict(choices=["val_acc", "test_acc"]),
-    "preset": dict(choices=sorted(_PRESETS), help="network size preset"),
-    "dump_kernel": dict(choices=["raw", "normalized"]),
-    "mode": dict(choices=["batches", "random_inputs", "inits", "batch_sizes"]),
-    "repeats": {},
-}
-
 # NetworkConfig fields a --config file may override; they have no flag
 _NETWORK_FIELDS = ("stem_channels", "cells_per_stage", "input_shape", "bn_epsilon")
 _NETWORK_KEYS = ("batch_size", "input", "preset", "init_seed", *_NETWORK_FIELDS)
@@ -507,8 +448,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if takes_arch:
             p.add_argument("arch", help="architecture string")
         for key in ("seed", *keys, "config", "out"):
-            if key in _FLAGS:
-                p.add_argument("--" + key.replace("_", "-"), dest=key, type=_KEY_TYPES.get(key, str), **_FLAGS[key])
+            if key == "config":
+                p.add_argument("--config", help="key=value settings file")
+            elif _SETTINGS[key][2] is not None:
+                value_type, _, flag = _SETTINGS[key]
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=value_type, **flag)
     return parser
 
 

@@ -111,21 +111,6 @@ class ActivationCodeMatrix:
     def n_inputs(self) -> int:
         return self.words.shape[0]
 
-    @classmethod
-    def from_bits(cls, bits: np.ndarray) -> "ActivationCodeMatrix":
-        """Pack a (N, n_units) boolean array."""
-        n, n_units = bits.shape
-        packed = np.packbits(bits, axis=1)
-        pad = (-packed.shape[1]) % 8
-        if pad:
-            packed = np.pad(packed, ((0, 0), (0, pad)))
-        return cls(words=np.ascontiguousarray(packed).view(np.uint64), n_units=n_units)
-
-    def unpack(self) -> np.ndarray:
-        """Recover the (N, n_units) boolean code matrix."""
-        bits = np.unpackbits(self.words.view(np.uint8), axis=1)
-        return bits[:, : self.n_units].astype(bool)
-
 
 class _CodeRecorder:
     """Packs ReLU pre-activation sign bits into one (N, n_words) buffer.

@@ -15,6 +15,24 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from naswot.network import ActivationCodeMatrix
+
+
+def codes_from_bits(bits) -> ActivationCodeMatrix:
+    """Pack an (N, n_units) 0/1 array into the library's code matrix."""
+    bits = np.asarray(bits, dtype=bool)
+    packed = np.packbits(bits, axis=1)
+    pad = (-packed.shape[1]) % 8
+    if pad:
+        packed = np.pad(packed, ((0, 0), (0, pad)))
+    return ActivationCodeMatrix(words=np.ascontiguousarray(packed).view(np.uint64), n_units=bits.shape[1])
+
+
+def unpack_codes(codes: ActivationCodeMatrix) -> np.ndarray:
+    """Recover the (N, n_units) boolean matrix from packed codes."""
+    bits = np.unpackbits(codes.words.view(np.uint8), axis=1)
+    return bits[:, : codes.n_units].astype(bool)
+
 
 def kernel_per_bit(bits: np.ndarray) -> np.ndarray:
     """Agreement-count kernel straight from the unpacked bit matrix."""

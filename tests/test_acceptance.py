@@ -15,12 +15,7 @@ import pytest
 import oracles
 from naswot.benchdata import load_benchmark_csv, load_cifar10_batch, random_normal_batch
 from naswot.cli import main as cli_main
-from naswot.network import (
-    ActivationCodeMatrix,
-    NetworkConfig,
-    build_network,
-    forward_collect_codes,
-)
+from naswot.network import NetworkConfig, build_network, forward_collect_codes
 from naswot.scoring import ScoreStatus, hamming_kernel, logdet_score, make_scorer, score_network
 from naswot.search import area_search, naswot_search, rea_search
 from naswot.searchspace import Genotype, OpKind, enumerate_all, sample_uniform
@@ -44,7 +39,7 @@ def _code_corpus():
 
 @functools.lru_cache(maxsize=1)
 def _corpus_kernels():
-    return [hamming_kernel(ActivationCodeMatrix.from_bits(bits)) for bits in _code_corpus()]
+    return [hamming_kernel(oracles.codes_from_bits(bits)) for bits in _code_corpus()]
 
 
 def test_criterion_1_packed_kernel_matches_per_bit_oracle_on_1000_matrices():
@@ -52,7 +47,7 @@ def test_criterion_1_packed_kernel_matches_per_bit_oracle_on_1000_matrices():
     unit count; symmetric.  Must finish inside 10 seconds."""
     start = time.perf_counter()
     for bits in _code_corpus():
-        kernel = hamming_kernel(ActivationCodeMatrix.from_bits(bits))
+        kernel = hamming_kernel(oracles.codes_from_bits(bits))
         expected = oracles.kernel_per_bit(bits)
         assert np.array_equal(kernel.matrix, expected)
         assert np.all(np.diag(kernel.matrix) == bits.shape[1])
@@ -119,9 +114,9 @@ def test_criterion_4_score_invariances_hold_for_100_random_desk_genotypes():
         scaled = forward_collect_codes(net, batch * 2.0)
         assert np.array_equal(codes.words, scaled.words)
 
-        bits = codes.unpack()
+        bits = oracles.unpack_codes(codes)
         cols = np.random.default_rng(9).permutation(bits.shape[1])
-        shuffled = ActivationCodeMatrix.from_bits(bits[:, cols])
+        shuffled = oracles.codes_from_bits(bits[:, cols])
         assert np.array_equal(hamming_kernel(codes).matrix, hamming_kernel(shuffled).matrix)
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"invariance sweep took {elapsed:.1f}s, budget 120s"

@@ -1,9 +1,15 @@
 import csv
+import importlib
 import io
+import pkgutil
+import time
 
 import pytest
 
+import naswot
+from naswot import cli
 from naswot.cli import main
+from naswot.scoring import Score
 from naswot.searchspace import Genotype, OpKind
 
 ZERO_ARCH = str(Genotype.uniform(OpKind.ZEROISE))
@@ -121,6 +127,19 @@ class TestSearchCommand:
         s = read_rows(serial)[1]
         p = read_rows(parallel)[1]
         assert s == p
+
+    @pytest.mark.parametrize("jobs,least", [("1", 0.2), ("2", 0.1)])
+    def test_walltime_covers_scoring(self, capsys, monkeypatch, jobs, least):
+        # four draws at 0.05 s a score: one thread waits 0.2 s, two 0.1 s
+        def slow_scorer(genotype):
+            time.sleep(0.05)
+            return Score(float(len(str(genotype))))
+
+        monkeypatch.setattr("naswot.cli.make_scorer", lambda config, batch: slow_scorer)
+        code, out, _ = run(capsys, "search", *DESK, "--n", "4", "--jobs", jobs)
+        assert code == 0
+        walltime = next(l for l in out.splitlines() if l.startswith("walltime "))
+        assert float(walltime.split()[1]) >= least
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
@@ -377,6 +396,32 @@ class TestConfigResolution:
         assert err.startswith("error: ValueError:") and err.count("\n") == 1
         assert out == ""
 
+    def test_header_echoes_only_the_settings_the_subcommand_reads(self, capsys, tmp_path, full_bench_csv):
+        bench = str(full_bench_csv)
+        network = {"batch_size", "init_seed", "input", "preset"}
+        evolution = {"bench", "budget", "metric", "pop", "tournament"}
+        cases = {
+            "score": (["score", CONV_ARCH, *DESK, "--dump-kernel", "raw"],
+                      {"arch", "dump_kernel", *network}),
+            "dump-kernel": (["dump-kernel", CONV_ARCH, *DESK], {"arch", "dump_kernel", *network}),
+            "search": (["search", *DESK, "--n", "3"], {"jobs", "n", *network}),
+            "rea": (["rea", "--bench", bench, "--pop", "3", "--tournament", "2", "--budget", "3"],
+                    evolution),
+            "area": (["area", "--bench", bench, *DESK, "--pool", "4", "--pop", "2",
+                      "--tournament", "2", "--budget", "3"], {"pool", *evolution, *network}),
+            "correlate": (["correlate", "--bench", bench, *DESK, "--n", "3"],
+                          {"bench", "metric", "n", *network}),
+            "ablate": (["ablate", CONV_ARCH, *DESK, "--mode", "batches", "--repeats", "2"],
+                       {"arch", "mode", "repeats", *network}),
+        }
+        assert set(cases) == set(cli._SUBCOMMANDS)
+        for name, (argv, own) in cases.items():
+            path = tmp_path / f"{name}.csv"
+            assert run(capsys, *argv, "--out", str(path))[0] == 0, name
+            comments, _ = read_rows(path)
+            keys = [c[2:].partition("=")[0] for c in comments]
+            assert keys == sorted({"seed", "subcommand", *own}), name
+
     def test_every_output_file_starts_with_config_echo(self, capsys, tmp_path, full_bench_csv):
         produced = []
         for name, args in {
@@ -392,3 +437,26 @@ class TestConfigResolution:
         for path in produced:
             first = path.read_text(encoding="utf-8").splitlines()[0]
             assert first.startswith("# ")
+
+
+class TestErrors:
+    def test_every_library_error_is_an_expected_error(self):
+        # the CLI reports an expected error as one tagged line; a library
+        # error outside _EXPECTED_ERRORS would escape as a traceback
+        errors = set()
+        for info in pkgutil.iter_modules(naswot.__path__):
+            module = importlib.import_module(f"naswot.{info.name}")
+            errors |= {obj for obj in vars(module).values()
+                       if isinstance(obj, type) and issubclass(obj, Exception)
+                       and obj.__module__.startswith("naswot.")}
+        exported = {getattr(naswot, name) for name in naswot.__all__}
+        assert {e for e in exported if isinstance(e, type) and issubclass(e, Exception)} <= errors
+        assert len(errors) >= 11
+        for error in errors:
+            assert issubclass(error, cli._EXPECTED_ERRORS), error.__name__
+
+    def test_missing_bench_file_is_one_tagged_line(self, capsys, tmp_path):
+        code, out, err = run(capsys, "rea", "--bench", str(tmp_path / "absent.csv"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: MissingFile: ") and err.count("\n") == 1

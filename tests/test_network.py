@@ -7,7 +7,6 @@ import naswot.network
 from naswot.benchdata import random_normal_batch
 from naswot.layers import avg_pool2d, batchnorm_batchstats, conv2d
 from naswot.network import (
-    ActivationCodeMatrix,
     NetworkConfig,
     NonFiniteActivation,
     _CodeRecorder,
@@ -21,7 +20,7 @@ from naswot.scoring import hamming_kernel
 from naswot.searchspace import EDGES, Genotype, OpKind, as_generator, format_arch, parse_arch, sample_uniform
 
 from make_golden import MIXED, TABLES
-from oracles import ChannelMajorRecorder, cell_kernels_in_draw_order, per_edge_cell_forward
+from oracles import ChannelMajorRecorder, cell_kernels_in_draw_order, codes_from_bits, per_edge_cell_forward, unpack_codes
 
 _, DESK_GOLDEN_CONFIG, DESK_GOLDEN_BATCH, _, DESK_GOLDEN_ARCHS = TABLES[0]
 
@@ -66,13 +65,13 @@ class TestCodeMatrix:
             n = int(rng.integers(1, 20))
             n_units = int(rng.integers(1, 300))
             bits = rng.integers(0, 2, size=(n, n_units)).astype(bool)
-            codes = ActivationCodeMatrix.from_bits(bits)
+            codes = codes_from_bits(bits)
             assert codes.n_units == n_units
             assert codes.n_inputs == n
-            assert np.array_equal(codes.unpack(), bits)
+            assert np.array_equal(unpack_codes(codes), bits)
 
     def test_words_are_uint64(self):
-        codes = ActivationCodeMatrix.from_bits(np.ones((2, 65), dtype=bool))
+        codes = codes_from_bits(np.ones((2, 65), dtype=bool))
         assert codes.words.dtype == np.uint64
         assert codes.words.shape == (2, 2)
 
@@ -113,7 +112,7 @@ class TestBuildForward:
     def test_all_zeroise_codes_rows_identical(self):
         cfg = NetworkConfig.desk()
         net = build_network(Genotype.uniform(OpKind.ZEROISE), cfg)
-        codes = forward_collect_codes(net, normal_batch(8, cfg.input_shape, 3)).unpack()
+        codes = unpack_codes(forward_collect_codes(net, normal_batch(8, cfg.input_shape, 3)))
         assert all(np.array_equal(codes[0], row) for row in codes)
 
     def test_rebuild_gives_bit_identical_weights_and_codes(self):
@@ -137,7 +136,7 @@ class TestBuildForward:
         net = build_network(parse_arch(EXAMPLE), cfg)
         batch = normal_batch(8, cfg.input_shape, 5)
         batch[3] = batch[0]
-        codes = forward_collect_codes(net, batch).unpack()
+        codes = unpack_codes(forward_collect_codes(net, batch))
         assert np.array_equal(codes[0], codes[3])
 
     def test_batch_shape_validated(self):
@@ -179,9 +178,9 @@ class TestCodeRecorder:
         codes = forward_collect_codes(net, batch)
         assert codes.n_units == want.shape[1]
         got = hamming_kernel(codes).matrix
-        assert np.array_equal(got, hamming_kernel(ActivationCodeMatrix.from_bits(want)).matrix)
+        assert np.array_equal(got, hamming_kernel(codes_from_bits(want)).matrix)
         # and the same columns, counted with multiplicity
-        assert np.array_equal(sorted_columns(codes.unpack()), sorted_columns(want))
+        assert np.array_equal(sorted_columns(unpack_codes(codes)), sorted_columns(want))
 
     def test_more_units_than_counted_raises(self):
         cfg = NetworkConfig.desk()
@@ -221,7 +220,7 @@ class TestCodeRecorder:
         for y in (first, x, last):
             want.record(y, times=times if y is x else 1)
         assert np.array_equal(once.codes().words, apart.codes().words)
-        assert np.array_equal(sorted_columns(once.codes().unpack()), sorted_columns(want.bits()))
+        assert np.array_equal(sorted_columns(unpack_codes(once.codes())), sorted_columns(want.bits()))
 
     def test_repeated_site_past_the_unit_count_raises(self):
         recorder = _CodeRecorder(2, 16)
@@ -281,8 +280,8 @@ class TestFusedCell:
         want = oracle.bits()
         codes = forward_collect_codes(net, batch)
         assert np.array_equal(hamming_kernel(codes).matrix,
-                              hamming_kernel(ActivationCodeMatrix.from_bits(want)).matrix)
-        assert np.array_equal(sorted_columns(codes.unpack()), sorted_columns(want))
+                              hamming_kernel(codes_from_bits(want)).matrix)
+        assert np.array_equal(sorted_columns(unpack_codes(codes)), sorted_columns(want))
 
     # values and memory layout of a cell's output: the layout sets the
     # summation order of the stride-2 pool that reads the last cell of a
@@ -401,6 +400,6 @@ class TestInvariances:
         net = build_network(parse_arch(EXAMPLE), cfg)
         batch = normal_batch(16, cfg.input_shape, 14)
         perm = np.random.default_rng(15).permutation(16)
-        base = forward_collect_codes(net, batch).unpack()
-        permuted = forward_collect_codes(net, batch[perm]).unpack()
+        base = unpack_codes(forward_collect_codes(net, batch))
+        permuted = unpack_codes(forward_collect_codes(net, batch[perm]))
         assert np.array_equal(permuted, base[perm])

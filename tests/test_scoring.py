@@ -17,19 +17,15 @@ from naswot.scoring import (
 )
 from naswot.searchspace import Genotype, OpKind, as_generator, parse_arch, sample_uniform
 
-from oracles import det_cofactor, kernel_per_bit, kernel_python_loops, logdet_lu
+from oracles import codes_from_bits, det_cofactor, kernel_per_bit, kernel_python_loops, logdet_lu, unpack_codes
 
 EXAMPLE = "|nor_conv_3x3~0|+|none~0|skip_connect~1|+|avg_pool_3x3~0|nor_conv_1x1~1|skip_connect~2|"
-
-
-def codes_from_bits(rows):
-    return ActivationCodeMatrix.from_bits(np.array(rows, dtype=bool))
 
 
 def random_codes(rng, n=None, n_units=None) -> ActivationCodeMatrix:
     n = n or int(rng.integers(2, 16))
     n_units = n_units or int(rng.integers(1, 200))
-    return ActivationCodeMatrix.from_bits(rng.integers(0, 2, size=(n, n_units)).astype(bool))
+    return codes_from_bits(rng.integers(0, 2, size=(n, n_units)))
 
 
 class TestHammingKernel:
@@ -50,7 +46,7 @@ class TestHammingKernel:
         rng = np.random.default_rng(0)
         for _ in range(100):
             codes = random_codes(rng)
-            bits = codes.unpack()
+            bits = unpack_codes(codes)
             assert np.array_equal(hamming_kernel(codes).matrix, kernel_per_bit(bits))
 
     def test_oracle_agrees_with_python_loops_on_tiny_codes(self):
@@ -71,18 +67,18 @@ class TestHammingKernel:
         # K = C C^T + (1-C)(1-C)^T, which is why it is always PSD
         rng = np.random.default_rng(3)
         for _ in range(20):
-            bits = random_codes(rng).unpack().astype(np.int64)
+            bits = unpack_codes(random_codes(rng)).astype(np.int64)
             gram = bits @ bits.T + (1 - bits) @ (1 - bits).T
-            k = hamming_kernel(ActivationCodeMatrix.from_bits(bits.astype(bool)))
+            k = hamming_kernel(codes_from_bits(bits))
             assert np.array_equal(k.matrix, gram)
 
     def test_column_permutation_leaves_kernel_unchanged(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             codes = random_codes(rng)
-            bits = codes.unpack()
+            bits = unpack_codes(codes)
             perm = rng.permutation(bits.shape[1])
-            permuted = ActivationCodeMatrix.from_bits(bits[:, perm])
+            permuted = codes_from_bits(bits[:, perm])
             assert np.array_equal(hamming_kernel(codes).matrix, hamming_kernel(permuted).matrix)
 
 

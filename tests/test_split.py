@@ -23,7 +23,7 @@ from naswot.network import NetworkConfig, NonFiniteActivation, _CodeRecorder, bu
 from naswot.scoring import ScoreStatus, hamming_kernel, score_network
 from naswot.searchspace import parse_arch, sample_uniform
 
-from oracles import avg_pool_window_mean, batchnorm_float64_temporaries
+from oracles import avg_pool_window_mean, batchnorm_float64_temporaries, unpack_codes
 from test_layers import absorbing_batch, assert_same_bits_and_strides, cancelling_batch, in_layouts
 
 # conv, pool and identity on every node, two kernel sizes leaving node A
@@ -209,7 +209,7 @@ class TestLayersSplit:
         config = NetworkConfig.desk()
         codes = forward_collect_codes(build_network(sample_uniform(n), config),
                                       random_normal_batch((n, *config.input_shape), n))
-        want = np.array([[np.sum(a != b) for b in codes.unpack()] for a in codes.unpack()])
+        want = np.array([[np.sum(a != b) for b in unpack_codes(codes)] for a in unpack_codes(codes)])
         split_into(monkeypatch, workers)
         monkeypatch.setattr(naswot.scoring, "_BLOCK_BYTES", codes.words[0].nbytes * pairs_per_step(n))
         assert np.array_equal(hamming_kernel(codes).matrix, codes.n_units - want)
