@@ -18,12 +18,20 @@ convolve to one channel, and no preset does.
 ``conv2d`` hands BLAS the same im2col matrix, staged channel-major and
 passed transposed, one block of images at a time: each output row is
 the dot product of one image patch with one filter over the same K
-entries in the same order whichever block holds it, so blocking over
-the batch moves no bit.  Stacking the kernels of several convolutions
+entries in the same order whichever block holds it and wherever it sits
+in the block's GEMM, so neither blocking over the batch nor the order
+of a block's rows moves a bit.  A 3x3 conv whose block holds more
+images than an output row holds pixels (at batch 128, every desk-preset
+one and the full preset's onto 8x8 maps) stages the block with the batch innermost,
+so each kernel tap is one copy of ow * b floats at a time, not of ow;
+its GEMM writes into a buffer whose rows one transposing copy puts back
+in image order.  1x1 convs and the other 3x3 shapes stage image by
+image.  Stacking the kernels of several convolutions
 of one input along C_out keeps each output column the same K-long dot
 product, so each run of columns equals a separate call.
-``tests/test_layers.py`` checks both at every preset conv shape, and
-blocking at batches ending inside, below and on a block edge.  The
+``tests/test_layers.py`` checks all three at every preset conv shape,
+and blocking at batches ending inside, below and on a block edge, in
+both stagings.  The
 stride-1 pool adds each window row, then the row sums, which is the
 order numpy's window mean uses on every memory layout but fully
 reversed (W, H, C, N) memory, which the forward pass never produces;
@@ -41,13 +49,16 @@ blocks of images that fit in cache, in three passes: the mean sum;
 cast, subtract and square into the variance sum; cast, subtract,
 divide and store.  A batch that fits in one block is cast once.  On
 NHWC memory numpy adds each channel's float64 sum row by row over
-(n, h, w); the blocks keep that order by carrying the sum of the rows
+(n, h, w), and so does ``np.einsum("ij->j")`` on the (rows, C) block
+buffer, in one inner loop over the channels per row, which takes the
+sums; the blocks keep that order by carrying the sum of the rows
 before in a row ahead of each block's rows, so the sum of the whole
 batch is the same sequence of additions.  Each channel's sum is its
 own sequence, so splitting the output into parts, or stacking more
 channels into one call, moves no bit.  One channel is the exception:
 numpy sums a lone channel pairwise, in runs set by its cast buffer, so
-a one-channel batch is one block and keeps that ``np.add.reduce`` call.
+a one-channel batch is one block and keeps ``np.add.reduce`` for both
+sums.
 The tests check blocked, one-block and split batches on inputs built so
 that another summation order shows in the float32 output.
 
@@ -156,6 +167,16 @@ class ShapeMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
+def _conv_blocking(n: int, c_in: int, kernel: int, oh: int, ow: int, itemsize: int) -> tuple[int, bool]:
+    """(images per block, whether a block stages its batch innermost) for
+    a conv of n images: a block's im2col columns fill about
+    ``_BLOCK_BYTES``, and a 3x3 conv's block of more images than an
+    output row has pixels puts the batch innermost, so each tap copy runs
+    over ow * b floats, not ow."""
+    nb = max(1, min(n, _BLOCK_BYTES // max(1, c_in * kernel * kernel * oh * ow * itemsize)))
+    return nb, kernel > 1 and nb > ow
+
+
 def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlate a batch with a (C_out, C_in, k, k) kernel, no bias.
 
@@ -175,7 +196,7 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     k, m = c_in * kh * kw, oh * ow
-    nb = max(1, min(n, _BLOCK_BYTES // max(1, k * m * x.itemsize)))
+    nb, batch_inner = _conv_blocking(n, c_in, kh, oh, ow, x.itemsize)
     wmat = weights.reshape(c_out, k).T
     out = np.empty((n * m, c_out), dtype=np.result_type(x, weights))
 
@@ -183,34 +204,58 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0
         """Images start...stop-1, nb at a time, into their output rows."""
         # the block's images, channel-major, inside a zero border that
         # stays zero because only the interior is ever written
-        padded, cols_buf = scratch
+        padded, cols_buf, gemm_buf = scratch
         for i in range(start, stop, nb):
             b = min(nb, stop - i)
             src = padded[:, :b]
             src[:, :, padding:h - padding, padding:w - padding] = x[i:i + b].transpose(1, 0, 2, 3)
-            # im2col staged as (C_in, kh, kw, b, oh, ow): one contiguous
-            # block copy per kernel tap; its transpose is the block's
-            # (b*oh*ow, C_in*kh*kw) column matrix in F order
-            cols = cols_buf[:k * b * m].reshape(c_in, kh, kw, b, oh, ow)
+            # im2col staged as (C_in, kh, kw, b, oh, ow), or with the batch
+            # innermost as (C_in, kh, kw, oh, ow, b): one block copy per
+            # kernel tap; its transpose is the block's (b*oh*ow, C_in*kh*kw)
+            # column matrix in F order, its rows in the staging's order
+            flat = cols_buf[:k * b * m]
+            rows = out[i * m:(i + b) * m]
+            if batch_inner:
+                cols = flat.reshape(c_in, kh, kw, oh, ow, b).transpose(0, 1, 2, 5, 3, 4)
+                gemm = gemm_buf[:b * m]
+            else:
+                cols, gemm = flat.reshape(c_in, kh, kw, b, oh, ow), rows
             for dy in range(kh):
                 for dx in range(kw):
                     cols[:, dy, dx] = src[:, :, dy:dy + stride * (oh - 1) + 1:stride,
                                           dx:dx + stride * (ow - 1) + 1:stride]
-            np.matmul(cols.reshape(k, b * m).T, wmat, out=out[i * m:(i + b) * m])
+            np.matmul(flat.reshape(k, b * m).T, wmat, out=gemm)
+            if batch_inner:
+                rows.reshape(b, m, c_out)[...] = gemm.reshape(m, b, c_out).transpose(1, 0, 2)
 
-    _split(n, n * k * m * x.itemsize, images,
-           lambda start, stop: (np.zeros((c_in, min(nb, stop - start), h, w), dtype=x.dtype),
-                                np.empty(k * min(nb, stop - start) * m, dtype=x.dtype)))
+    def scratch(start: int, stop: int) -> tuple:
+        """A part's padded block (in memory as (C_in, h, w, b) when the
+        batch is innermost), im2col buffer and GEMM buffer."""
+        b = min(nb, stop - start)
+        if not batch_inner:
+            return np.zeros((c_in, b, h, w), dtype=x.dtype), np.empty(k * b * m, dtype=x.dtype), None
+        return (np.zeros((c_in, h, w, b), dtype=x.dtype).transpose(0, 3, 1, 2),
+                np.empty(k * b * m, dtype=x.dtype), np.empty((b * m, c_out), dtype=out.dtype))
+
+    _split(n, n * k * m * x.itemsize, images, scratch)
     return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """Per-channel sums of a C-contiguous (rows, C) float64 array, each
+    channel added row by row as ``np.add.reduce`` adds it, in one inner
+    loop over the channels per row; one channel keeps ``np.add.reduce``,
+    which sums a lone channel pairwise."""
+    return np.einsum("ij->j", a) if a.shape[1] > 1 else np.add.reduce(a, axis=0)
 
 
 def _carried_sum(buf: np.ndarray, rows: np.ndarray, total: np.ndarray | None) -> np.ndarray:
     """Per-channel sum of ``rows`` (buf's rows 1...), added row by row onto
     ``total``, the sum of the blocks before (None for the first block)."""
     if total is None:
-        return np.add.reduce(rows, axis=0)
+        return _column_sums(rows)
     buf[0] = total
-    return np.add.reduce(buf[:1 + len(rows)], axis=0)
+    return _column_sums(buf[:1 + len(rows)])
 
 
 def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None):
@@ -271,7 +316,7 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None
     # pass 2: the variance; a one-block batch keeps its deviations for pass 3
     if one_block:
         per_image(np.subtract, rows, mean)
-        total = np.add.reduce(np.square(rows), axis=0)
+        total = _column_sums(np.square(rows))
     else:
         total = None
         for i in range(0, n, nb):

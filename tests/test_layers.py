@@ -5,6 +5,7 @@ import naswot.layers
 from naswot.layers import (
     _BLOCK_BYTES,
     ShapeMismatch,
+    _conv_blocking,
     avg_pool2d,
     batchnorm_batchstats,
     conv2d,
@@ -49,6 +50,12 @@ def conv_shapes():
     return sorted(shapes)
 
 
+def conv_blocking(n, c_in, kernel, stride, h):
+    """(images per block, batch innermost?) of conv2d at a same-padded shape."""
+    o = (h - 1) // stride + 1
+    return _conv_blocking(n, c_in, kernel, o, o, 4)
+
+
 def cell_conv_shapes():
     """Every (N, C, k, H) a preset's cells convolve: stride 1, C in and out."""
     return [(n, config.stem_channels << s, k, config.input_shape[1] >> s)
@@ -86,6 +93,21 @@ def absorbing_batch(shape, rng):
     x[0, :, 0, 0] = 1000 + 3 * 2.0**25
     x[0, :, 0, 1] = 1000 - 3 * 2.0**25
     return x
+
+
+def midpoint_batch(shape, rng):
+    """(one-channel batch, epsilon) that put every output on a float32
+    rounding midpoint, so the float64 variance's last bits decide how
+    each output rounds: the values sum exactly to a mean of 4 + 2**-24,
+    every deviation from it lies in [1, 2) on a float32 midpoint, and
+    epsilon takes the variance to 4, so the output is deviation / 2."""
+    half = int(np.prod(shape)) // 2
+    k = rng.integers(2**21, 2**22 - 1, half) * 4 + 3       # odd deviation ulps above the mean
+    j = k + np.where(np.arange(half) < half // 2, -1, 1)   # as many below, with the same sum
+    mean = 4 + 2.0**-24
+    dev = np.concatenate([k, -j]) * 2.0**-23 + np.sign(np.concatenate([k, -j])) * 2.0**-24
+    x = rng.permutation((mean + dev).astype(np.float32)).reshape(shape)
+    return x, 4.0 - np.mean(np.square(x.astype(np.float64) - mean))
 
 
 def in_layouts(x):
@@ -161,6 +183,32 @@ class TestConv2d:
         for view in in_layouts(x):
             assert_same_bits_and_strides(conv2d(view, weights, stride, 1),
                                          conv2d_window_im2col(view, weights, stride, 1))
+
+    # conv2d stages a 3x3 block with the batch innermost when it holds more
+    # images than an output row has pixels: 113 images at the desk stage-1
+    # shape, so batches 112-114 and 227 end below, on and past block edges;
+    # then the desk-wide batch, stacked kernels (24 and 48 channels out) and
+    # stride 2, whole, split in two and split in three
+    @pytest.mark.parametrize("parts", [None, 2, 3])
+    @pytest.mark.parametrize("n,c_in,c_out,stride,h", [
+        (112, 8, 8, 1, 8), (113, 8, 8, 1, 8), (114, 8, 8, 1, 8), (227, 8, 8, 1, 8), (1024, 8, 8, 1, 8),
+        (128, 8, 24, 1, 8), (128, 16, 48, 1, 4), (128, 8, 16, 2, 8), (227, 8, 16, 2, 8)])
+    def test_batch_innermost_bit_identical_to_window_im2col(self, n, c_in, c_out, stride, h, parts, monkeypatch):
+        assert conv_blocking(n, c_in, 3, stride, h)[1]
+        if parts:
+            monkeypatch.setattr(naswot.layers, "_WORKERS", parts)
+            monkeypatch.setattr(naswot.layers, "_SPLIT_BYTES", 0)
+        rng = np.random.default_rng([n, c_in, c_out, stride, h])
+        x = rng.standard_normal((n, c_in, h, h), dtype=np.float32)
+        weights = rng.standard_normal((c_out, c_in, 3, 3), dtype=np.float32)
+        for view in in_layouts(x):
+            assert_same_bits_and_strides(conv2d(view, weights, stride, 1),
+                                         conv2d_window_im2col(view, weights, stride, 1))
+
+    def test_preset_3x3_shapes_take_both_stagings(self):
+        assert conv_blocking(10**6, 8, 3, 1, 8)[0] == 113
+        assert {conv_blocking(n, c_in, kernel, stride, h)[1]
+                for n, c_in, _, kernel, stride, h in conv_shapes() if kernel == 3} == {True, False}
 
     # a cell stacks the kernels of the m conv edges leaving one node; each
     # output channel is the same K-long dot product as in a separate call
@@ -250,6 +298,17 @@ class TestBatchNorm:
         want = batchnorm_float64_temporaries(in_layouts(x)[1], 1e-5)
         for view in in_layouts(x):
             assert_same_bits_and_strides(batchnorm_batchstats(view, 1e-5), want)
+
+    # numpy sums a lone channel pairwise and the other sums row by row:
+    # here any other variance order moves the last bits that decide how
+    # half the outputs round (each case below does round otherwise when
+    # the variance is taken with einsum)
+    @pytest.mark.parametrize("n,h", [(128, 8), (32, 16), (4, 64)])
+    def test_one_channel_bit_identical_where_variance_order_shows(self, n, h):
+        x, eps = midpoint_batch((n, 1, h, h), np.random.default_rng([n, 1, h]))
+        want = batchnorm_float64_temporaries(x, eps)
+        for view in in_layouts(x):
+            assert_same_bits_and_strides(batchnorm_batchstats(view, eps), want)
 
     # parts=m is the batch-norm of m stacked convs: each run of C / m
     # channels must come out as its own call would give it, in its own
