@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -91,15 +92,19 @@ def count_flips(workload, base_src: str) -> dict:
                               stdout=subprocess.PIPE, cwd=ROOT)
              for src in (str(ROOT / "src"), base_src)]
     counts = {"rows": 0, "flipped_rows": 0, "bits": 0, "status_changed": 0, "max_rel_drift": 0.0}
+
+    def next_row(proc) -> tuple:
+        """The next (head, code bytes) ``proc`` wrote; (None, None) at its end."""
+        line = proc.stdout.readline()
+        if not line:
+            return None, None
+        head = json.loads(line)
+        shape = head["shape"]
+        return head, shape and proc.stdout.read(8 * shape[0] * shape[1])
+
     try:
         while True:
-            rows = []
-            for proc in procs:
-                line = proc.stdout.readline()
-                head = json.loads(line) if line else None
-                words = head and head["shape"] and proc.stdout.read(8 * head["shape"][0] * head["shape"][1])
-                rows.append((head, words))
-            (new, new_words), (old, old_words) = rows
+            (new, new_words), (old, old_words) = map(next_row, procs)
             if new is None and old is None:
                 break
             if new is None or old is None or new["arch"] != old["arch"] or new["shape"] != old["shape"]:
@@ -110,8 +115,8 @@ def count_flips(workload, base_src: str) -> dict:
                 counts["flipped_rows"] += flips > 0
                 counts["bits"] += flips
             counts["status_changed"] += new["status"] != old["status"]
-            if new["value"] is not None and old["value"] is not None:
-                drift = abs(new["value"] - old["value"]) / abs(old["value"]) if old["value"] else 0.0
+            if new["value"] is not None and old["value"] is not None and new["value"] != old["value"]:
+                drift = abs(new["value"] - old["value"]) / abs(old["value"]) if old["value"] else math.inf
                 counts["max_rel_drift"] = max(counts["max_rel_drift"], drift)
         for proc in procs:
             proc.wait()
@@ -120,6 +125,7 @@ def count_flips(workload, base_src: str) -> dict:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
     if any(proc.returncode for proc in procs):
         raise SystemExit(f"{workload.name}: a scoring subprocess failed")
     return counts
