@@ -36,9 +36,15 @@ stride-1 pool adds each window row, then the row sums, which is the
 order numpy's window mean uses on every memory layout but fully
 reversed (W, H, C, N) memory, which the forward pass never produces;
 it pads in C order, so its output is C-ordered on every layout.  The
-stride-2 pool still takes that window mean: numpy sums a 2x2 window in
-one of four orders, chosen by which axis is innermost in memory, and
-the stored reference scores depend on that order.
+stride-2 pool adds four strided views of the window's taps, x00 x01
+on the top row and x10 x11 below, in the order numpy's window mean
+takes them, which is set by the memory layout and which the stored
+reference scores encode: ``(x00 + x01) + (x10 + x11)`` on C-ordered
+input whose output rows hold more than one pixel, and
+``((x00 + x01) + x10) + x11`` on NHWC memory and on C-ordered input
+pooled to one column.  numpy's sum starts from +0, which shows only
+on a window of -0s, so the sum then adds +0 before it is divided by 4;
+the output is laid out as numpy lays out that mean.
 
 ``batchnorm_batchstats`` returns NHWC memory on every input layout,
 with the bits the float64-temporaries expression the tests keep as its
@@ -67,11 +73,9 @@ contiguous part per CPU in the process's affinity mask (``_split``);
 the code recorder and the Hamming kernel use the same helper.  Every
 part runs the same operations a one-part call runs, on its own rows of
 buffers the caller made: runs of images for ``conv2d`` (blocked as
-above inside each part), both pools (the stride-2 window mean into an
-output laid out as numpy lays out its own, so it adds in the same
-order), ``relu``, ``add``, the code recorder and batch-norm's third
-pass; pairs of row blocks for the Hamming kernel, whose entries are
-integers.  Batch-norm's two sums are not split: each channel's sum
+above inside each part), both pools, ``relu``, ``add``, the code
+recorder and batch-norm's third pass; pairs of row blocks for the
+Hamming kernel, whose entries are integers.  Batch-norm's two sums are not split: each channel's sum
 stays one sequence of additions, taken by the caller.  So no bit or
 stride depends on the part count, and ``taskset`` to one CPU gives the
 same scores.
@@ -83,7 +87,6 @@ import os
 import threading
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "ShapeMismatch",
@@ -355,29 +358,24 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None
 def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Average pooling over kernel x kernel windows.
 
-    Zero padding counts toward the average (the divisor is always
-    kernel**2), which keeps the operator linear in its input.
+    Takes the stride-1 odd windows of a cell's pool edge and the 2x2,
+    stride-2, unpadded window of a downsample shortcut; any other window
+    raises ShapeMismatch.  Zero padding counts toward the average (the
+    divisor is always kernel**2), which keeps the operator linear in its
+    input.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"need a 4-d input, got {x.shape}")
     n, c, h, w = x.shape
-    if stride != 1 or kernel == 1:
-        # numpy's window mean sums a strided window in an order set by
-        # which axis is innermost in memory, and the reference scores
-        # encode that order; a 1x1 window has nothing to add up
-        if padding:
-            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-            padded[:, :, padding:padding + h, padding:padding + w] = x
-            x = padded
-        windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
-        # laid out like the mean numpy would make, so it adds in that order
-        out = np.empty_like(windows[..., 0, 0])
-        _split(n, x.nbytes, lambda start, stop: windows[start:stop].mean(axis=(4, 5), out=out[start:stop]))
-        return out
-    # the input inside a zero border, in C order whatever its layout
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype) if padding else x
+    if (kernel, stride, padding) == (2, 2, 0):
+        return _pool_2x2_stride_2(x)
     oh = h + 2 * padding - kernel + 1
     ow = w + 2 * padding - kernel + 1
+    if stride != 1 or kernel < 3 or kernel % 2 == 0 or padding < 0 or oh < 1 or ow < 1:
+        raise ShapeMismatch(f"no {kernel}x{kernel} pool with stride {stride} and padding {padding} "
+                            f"over {h}x{w} maps; pools are stride-1 odd windows or 2x2 stride 2")
+    # the input inside a zero border, in C order whatever its layout
+    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype) if padding else x
     # laid out like the sums numpy would make of the padded input
     rows = np.empty_like(padded[..., :ow])
 
@@ -402,6 +400,31 @@ def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) ->
         part /= kernel * kernel
 
     _split(n, x.nbytes, column_sums)
+    return out
+
+
+def _pool_2x2_stride_2(x: np.ndarray) -> np.ndarray:
+    """The 2x2, stride-2 window mean, as numpy's window mean adds it on
+    the layouts the forward pass produces (see the module docstring)."""
+    n, _, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    x00, x01, x10, x11 = (x[:, :, dy:2 * oh:2, dx:2 * ow:2] for dy in (0, 1) for dx in (0, 1))
+    # laid out like the mean numpy would make
+    out = np.empty_like(x00)
+    pairwise = x.flags.c_contiguous and ow > 1
+
+    def windows(start: int, stop: int) -> None:
+        part = out[start:stop]
+        np.add(x00[start:stop], x01[start:stop], out=part)
+        if pairwise:
+            part += x10[start:stop] + x11[start:stop]
+        else:
+            part += x10[start:stop]
+            part += x11[start:stop]
+        part += 0.0  # numpy's sum starts from +0, so no window sums to -0
+        part /= 4
+
+    _split(n, x.nbytes, windows)
     return out
 
 

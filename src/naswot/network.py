@@ -34,6 +34,15 @@ edges add nothing to a sum: that can change only the sign of an exact
 zero, and a code bit reads ``> 0``.  A node keeps the memory layout its
 sum would have with the zeros in it, because the stride-2 pool after a
 stage sums in an order set by its input's layout.
+
+The weights are one float32 standard-normal stream drawn at
+``init_seed``, cut into kernels in build order.  A scorer
+(``scoring.make_scorer``) keeps the all-3x3 genotype's stream, of which
+every genotype's is a prefix, and the stem's output for its batch; handed
+that output, a forward pass starts at stage 1.  It keeps each only while
+making and keeping it stays under ``layers._SPLIT_BYTES``: both at the
+desk preset at batch 128, the stream alone at batch 1024 (whose stem
+conv splits), neither at the full preset (6.1 and 8 MB).
 """
 
 from __future__ import annotations
@@ -277,12 +286,12 @@ class Network:
     # per cell its conv groups
     stages: list = field(repr=False)
 
-    def forward(self, batch: np.ndarray, recorder: _CodeRecorder) -> None:
+    def forward(self, batch: np.ndarray, recorder: _CodeRecorder, stem: np.ndarray | None = None) -> None:
         """Run the skeleton on a float32 batch, handing ``recorder`` each
-        ReLU site's pre-activation in forward order."""
+        ReLU site's pre-activation in forward order.  With ``stem``, the
+        stem's output for ``batch``, the pass starts at stage 1."""
         eps = self.config.bn_epsilon
-        x = conv2d(batch, self.stem, 1, 1)
-        x = batchnorm_batchstats(x, eps)
+        x = self.stem_output(batch) if stem is None else stem
         for downsample, cells in self.stages:
             if downsample is not None:
                 x = _downsample_forward(x, downsample, eps, recorder)
@@ -291,16 +300,38 @@ class Network:
         # the final ReLU's output reaches no score; its site does
         recorder.record(batchnorm_batchstats(x, eps))
 
+    def stem_output(self, batch: np.ndarray) -> np.ndarray:
+        """The stem's conv and batch-norm over a float32 batch.  The stem
+        is drawn first, so every genotype at one config shares it."""
+        return batchnorm_batchstats(conv2d(batch, self.stem, 1, 1), self.config.bn_epsilon)
+
 
 _KERNEL_SIZE = {OpKind.CONV_3X3: 3, OpKind.CONV_1X1: 1}
 
 
-def _he_normal(rng: np.random.Generator, c_out: int, c_in: int, kernel: int) -> np.ndarray:
-    std = math.sqrt(2.0 / (c_in * kernel * kernel))
-    return rng.standard_normal((c_out, c_in, kernel, kernel), dtype=np.float32) * np.float32(std)
+def _weight_count(genotype: Genotype, config: NetworkConfig) -> int:
+    """How many weights ``build_network`` draws for a genotype: the stem's
+    3x3 kernel, then per stage the downsample block's conv1, conv2 and
+    shortcut (from stage 2 on) and each cell's conv edges."""
+    per_cell = sum(_KERNEL_SIZE[op] ** 2 for op in genotype.ops if op in _KERNEL_SIZE)
+    c = config.stem_channels
+    total = 9 * c * config.input_shape[0] + config.cells_per_stage * per_cell * c * c
+    for _ in range(2):
+        # conv1 (2c, c, 3x3), conv2 (2c, 2c, 3x3), shortcut (2c, c, 1x1)
+        total += 9 * 2 * c * c + 9 * 4 * c * c + 2 * c * c
+        c *= 2
+        total += config.cells_per_stage * per_cell * c * c
+    return total
 
 
-def _cell_groups(genotype: Genotype, rng, channels: int) -> list:
+def _weight_stream(genotype: Genotype, config: NetworkConfig) -> np.ndarray:
+    """The float32 standard-normal draws ``build_network`` scales into a
+    genotype's kernels, in build order, from ``default_rng(init_seed)``."""
+    return np.random.default_rng(config.init_seed).standard_normal(_weight_count(genotype, config),
+                                                                   dtype=np.float32)
+
+
+def _cell_groups(genotype: Genotype, he_normal, channels: int) -> list:
     # kernels are drawn edge by edge in EDGES order, then stacked per
     # (source, kernel size).  numpy sums a one-channel batch-norm pairwise
     # but a wider one row by row, so one-channel convs stay unstacked.
@@ -309,48 +340,72 @@ def _cell_groups(genotype: Genotype, rng, channels: int) -> list:
         if op in _KERNEL_SIZE:
             size, src = _KERNEL_SIZE[op], EDGES[k][0]
             _, kernels, edges = groups.setdefault((src, size) if channels > 1 else k, (src, [], []))
-            kernels.append(_he_normal(rng, channels, channels, size))
+            kernels.append(he_normal(channels, channels, size))
             edges.append(k)
     return [(src, np.concatenate(kernels), edges) for src, kernels, edges in groups.values()]
 
 
-def build_network(genotype: Genotype, config: NetworkConfig) -> Network:
+def build_network(genotype: Genotype, config: NetworkConfig, stream: np.ndarray | None = None) -> Network:
     """Instantiate the skeleton for a genotype, weights drawn at init_seed.
 
     Structure and weights are a pure function of (genotype, config):
-    weight arrays are drawn from a single seeded stream in fixed build
-    order: the stem, then per stage the downsample block's conv1, conv2
-    and shortcut (from stage 2 on) and each cell's conv edges.
+    each kernel is the next run of one float32 standard-normal stream,
+    in fixed build order (the stem, then per stage the downsample
+    block's conv1, conv2 and shortcut (from stage 2 on) and each cell's
+    conv edges), scaled by He's std.  The stream is ``stream`` if given,
+    else this genotype's own draws.  A run of draws from one generator
+    equals the same stretch of one long draw, bit for bit, so a scorer
+    draws the all-3x3 genotype's stream once, and every genotype's
+    stream is a prefix of it.
     """
-    rng = np.random.default_rng(config.init_seed)
+    if stream is None:
+        stream = _weight_stream(genotype, config)
+    taken = 0
+
+    def he_normal(c_out: int, c_in: int, kernel: int) -> np.ndarray:
+        nonlocal taken
+        size = c_out * c_in * kernel * kernel
+        std = np.float32(math.sqrt(2.0 / (c_in * kernel * kernel)))
+        weights = stream[taken:taken + size].reshape(c_out, c_in, kernel, kernel) * std
+        taken += size
+        return weights
+
     channels = config.stem_channels
-    stem = _he_normal(rng, channels, config.input_shape[0], 3)
+    stem = he_normal(channels, config.input_shape[0], 3)
     stages = []
     for stage in range(3):
         downsample = None
         if stage > 0:
             c_out = 2 * channels
-            downsample = (_he_normal(rng, c_out, channels, 3), _he_normal(rng, c_out, c_out, 3),
-                          _he_normal(rng, c_out, channels, 1))
+            downsample = (he_normal(c_out, channels, 3), he_normal(c_out, c_out, 3), he_normal(c_out, channels, 1))
             channels = c_out
-        stages.append((downsample, [_cell_groups(genotype, rng, channels) for _ in range(config.cells_per_stage)]))
+        stages.append((downsample, [_cell_groups(genotype, he_normal, channels)
+                                    for _ in range(config.cells_per_stage)]))
     return Network(genotype=genotype, config=config, stem=stem, stages=stages)
 
 
-def forward_collect_codes(net: Network, batch: np.ndarray) -> ActivationCodeMatrix:
-    """Run the forward pass and return the packed activation codes.
-
-    Raises NonFiniteActivation if any ReLU pre-activation is NaN or
-    infinite; the last site is the final batch-norm's output, so that
-    covers the output too.
-    """
-    expected = net.config.input_shape
+def _check_batch(batch: np.ndarray, config: NetworkConfig) -> None:
+    """Raise ValueError unless ``batch`` is a batch the network can take:
+    inputs of the config's shape, at least 2 of them for batch statistics."""
+    expected = config.input_shape
     if batch.ndim != 4 or batch.shape[1:] != expected:
         raise ValueError(f"batch shape {batch.shape} does not match input shape {expected}")
     if batch.shape[0] < 2:
         raise ValueError("need at least 2 inputs for batch statistics")
+
+
+def forward_collect_codes(net: Network, batch: np.ndarray, stem: np.ndarray | None = None) -> ActivationCodeMatrix:
+    """Run the forward pass and return the packed activation codes.
+
+    ``stem`` is ``net.stem_output(batch)`` if the caller kept it (a
+    scorer does; see ``scoring.make_scorer``).  Raises
+    NonFiniteActivation if any ReLU pre-activation is NaN or infinite;
+    the last site is the final batch-norm's output, so that covers the
+    output too.
+    """
+    _check_batch(batch, net.config)
     recorder = _CodeRecorder(batch.shape[0], count_relu_units(net))
-    net.forward(np.ascontiguousarray(batch, dtype=np.float32), recorder)
+    net.forward(np.ascontiguousarray(batch, dtype=np.float32), recorder, stem)
     return recorder.codes()
 
 

@@ -19,9 +19,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .layers import _BLOCK_BYTES, _split
-from .network import ActivationCodeMatrix, NetworkConfig, NonFiniteActivation, build_network, forward_collect_codes
-from .searchspace import Genotype
+from .layers import _BLOCK_BYTES, _SPLIT_BYTES, _split
+from .network import (ActivationCodeMatrix, Network, NetworkConfig, NonFiniteActivation, _check_batch, _weight_count,
+                      _weight_stream, build_network, forward_collect_codes)
+from .searchspace import Genotype, OpKind
 
 __all__ = [
     "ScoreStatus",
@@ -168,20 +169,51 @@ def logdet_score(kernel: Union[HammingKernel, np.ndarray]) -> Score:
     return Score(value=value)
 
 
-def score_network(genotype: Genotype, config: NetworkConfig, batch: np.ndarray) -> Score:
-    """Build, run one batch, and score: ln det of the code Hamming kernel."""
-    net = build_network(genotype, config)
+def _score(net: Network, batch: np.ndarray, stem: np.ndarray | None = None) -> Score:
+    """Run one batch through a built network and score it."""
     try:
-        codes = forward_collect_codes(net, batch)
+        codes = forward_collect_codes(net, batch, stem)
     except NonFiniteActivation:
         return Score.invalid(ScoreStatus.NON_FINITE)
     return logdet_score(hamming_kernel(codes))
 
 
+def score_network(genotype: Genotype, config: NetworkConfig, batch: np.ndarray) -> Score:
+    """Build, run one batch, and score: ln det of the code Hamming kernel."""
+    return _score(build_network(genotype, config), batch)
+
+
 def make_scorer(config: NetworkConfig, batch: np.ndarray) -> Callable[[Genotype], Score]:
-    """Bind config and batch into a genotype -> Score callable."""
+    """Bind config and batch into a genotype -> Score callable.
+
+    The scorer gives ``score_network``'s scores, bit for bit, and does
+    once what every genotype would redo: it keeps the all-3x3 genotype's
+    weight stream, of which every genotype's is a prefix, and the stem's
+    output for the batch.  It keeps each only while making and keeping
+    it stays under ``layers._SPLIT_BYTES``, the size below which a layer
+    call runs on one core: a larger piece would hold its memory for the
+    scorer's life, and a split call here would start the split pool in
+    set-up.  A piece it does not keep is made per genotype.  It scores
+    its own read-only float32 copy of ``batch``, so later changes to the
+    caller's array change no score.  A batch the network cannot take
+    raises ValueError here.
+    """
+    batch = np.array(batch, dtype=np.float32, order="C")
+    _check_batch(batch, config)
+    batch.flags.writeable = False
+    longest = Genotype.uniform(OpKind.CONV_3X3)
+    stream = stem = None
+    # the stream and the stem's output are float32, as the batch is
+    if _weight_count(longest, config) * batch.itemsize < _SPLIT_BYTES:
+        stream = _weight_stream(longest, config)
+        stream.flags.writeable = False
+    # the stem's 3x3 conv stages 9 floats for each float of the batch, and
+    # its output holds stem_channels maps an image to the batch's input_shape[0]
+    if max(9 * batch.nbytes, batch.nbytes // config.input_shape[0] * config.stem_channels) < _SPLIT_BYTES:
+        stem = build_network(longest, config, stream).stem_output(batch)
+        stem.flags.writeable = False
 
     def scorer(genotype: Genotype) -> Score:
-        return score_network(genotype, config, batch)
+        return _score(build_network(genotype, config, stream), batch, stem)
 
     return scorer

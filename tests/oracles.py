@@ -6,8 +6,9 @@ meaningful evidence rather than a tautology.  The pieces from
 ``conv2d_window_im2col`` on are the exception: they are the earlier
 vectorized conv, pool and batch-norm, which the faster ones must match
 bit for bit, the earlier code recorder, whose kernels the packing one
-must match, and the earlier per-edge cell with its kernel draw, whose
-kernels the fused one must match.
+must match, the earlier per-edge cell, whose kernels the fused one must
+match, and the earlier per-kernel weight draw, which the slices of one
+weight stream must match.
 """
 
 import math
@@ -197,11 +198,13 @@ class ChannelMajorRecorder:
         return np.concatenate(self.site_bits, axis=1)
 
 
-def cell_kernels_in_draw_order(genotype, config) -> list:
-    """Each cell's conv kernels by edge index, drawn He-normal from
-    ``init_seed`` edge by edge in build order: the stem conv, then per
-    stage the downsample block's three convs (from stage 2 on) and each
-    cell's conv edges in EDGES order."""
+def kernels_in_draw_order(genotype, config) -> tuple:
+    """(stem kernel, per stage its downsample block's (conv1, conv2,
+    shortcut) or None, per cell its conv kernels by edge index), each
+    kernel drawn He-normal from ``init_seed`` on its own, edge by edge in
+    build order: the stem conv, then per stage the downsample block's
+    three convs (from stage 2 on) and each cell's conv edges in EDGES
+    order.  The cells' kernels are the ones the fused cells stack."""
     from naswot.searchspace import OpKind
 
     rng = np.random.default_rng(config.init_seed)
@@ -212,16 +215,17 @@ def cell_kernels_in_draw_order(genotype, config) -> list:
 
     sizes = {OpKind.CONV_3X3: 3, OpKind.CONV_1X1: 1}
     c = config.stem_channels
-    draw(c, config.input_shape[0], 3)
-    cells = []
+    stem = draw(c, config.input_shape[0], 3)
+    downsamples, cells = [], []
     for stage in range(3):
+        downsample = None
         if stage:
-            for c_out, c_in, k in ((2 * c, c, 3), (2 * c, 2 * c, 3), (2 * c, c, 1)):
-                draw(c_out, c_in, k)
+            downsample = tuple(draw(c_out, c_in, k) for c_out, c_in, k in ((2 * c, c, 3), (2 * c, 2 * c, 3), (2 * c, c, 1)))
             c *= 2
+        downsamples.append(downsample)
         for _ in range(config.cells_per_stage):
             cells.append({k: draw(c, c, sizes[op]) for k, op in enumerate(genotype.ops) if op in sizes})
-    return cells
+    return stem, downsamples, cells
 
 
 def per_edge_cell_forward(ops, kernels: dict, epsilon: float, x: np.ndarray, recorder) -> np.ndarray:

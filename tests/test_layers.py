@@ -110,6 +110,27 @@ def midpoint_batch(shape, rng):
     return x, 4.0 - np.mean(np.square(x.astype(np.float64) - mean))
 
 
+# 2x2 windows whose sum shows the order of its adds or the +0 it starts
+# from; each holds at most one NaN source
+EDGE_WINDOWS = [(-0.0, -0.0, -0.0, -0.0), (0.0, -0.0, -0.0, -0.0), (-0.0, 0.0, 0.0, -0.0),
+                (np.nan, 1.0, -2.0, 3.0), (np.nan, -0.0, -0.0, -0.0), (np.inf, 1.0, 2.0, -0.0),
+                (-np.inf, -0.0, 2.0, 3.0), (np.inf, np.inf, 1.0, 2.0), (np.inf, -np.inf, 1.0, 2.0),
+                (3e38, 3e38, -3e38, -3e38), (3e38, 3e38, 3e38, -3e38), (3e38, 3e38, 1.0, 1.0),
+                (1.0, 2.0**-24, 2.0**-24, -1.0), (2.0**24, 1.0, 1.0, -2.0**24)]
+
+
+def edge_window_batch(shape, rng):
+    """Standard normals with every 2x2 stride-2 window replaced by one of
+    EDGE_WINDOWS in a random tap order; odd edges stay normal."""
+    x = rng.standard_normal(shape, dtype=np.float32)
+    n, c, h, w = shape
+    oh, ow = h // 2, w // 2
+    picks = np.array(EDGE_WINDOWS, dtype=np.float32)[rng.integers(len(EDGE_WINDOWS), size=(n, c, oh, ow))]
+    picks = rng.permuted(picks, axis=-1).reshape(n, c, oh, ow, 2, 2)
+    x[:, :, :2 * oh, :2 * ow] = picks.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, 2 * oh, 2 * ow)
+    return x
+
+
 def in_layouts(x):
     """The two memory layouts the forward pass feeds a layer: C-contiguous
     NCHW, and the NCHW view of NHWC memory that conv2d and BN return."""
@@ -382,6 +403,39 @@ class TestPooling:
             for kernel, stride, padding in settings:
                 assert_same_bits_and_strides(avg_pool2d(view, kernel, stride, padding),
                                              avg_pool_window_mean(view, kernel, stride, padding))
+
+    # the stride-2 pool adds four strided views of the window's taps in
+    # numpy's order for the layout; windows a tap order shows in: -0
+    # sums (numpy's sum starts from +0), NaN and infinities, and 3e38s
+    # that overflow unless the opposite signs meet first.  One NaN source
+    # a window: which of two NaNs an add returns is the CPU's choice.
+    @pytest.mark.parametrize("shape", [(3, 5, 7, 9), (2, 3, 4, 6), (2, 4, 6, 4), (2, 3, 5, 3), (4, 1, 6, 6),
+                                       (2, 3, 2, 2), (2, 16, 8, 8)])
+    def test_stride_2_bit_identical_to_window_mean_on_edge_windows(self, shape):
+        rng = np.random.default_rng(list(shape))
+        for trial in range(4):
+            x = edge_window_batch(shape, rng)
+            for view in in_layouts(x):
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = avg_pool2d(view, 2, 2, 0)
+                    want = avg_pool_window_mean(view, 2, 2, 0)
+                assert_same_bits_and_strides(got, want)
+
+    def test_stride_2_all_negative_zero_window_is_positive_zero(self):
+        x = np.full((2, 3, 4, 6), -0.0, dtype=np.float32)
+        for view in in_layouts(x):
+            out = avg_pool2d(view, 2, 2, 0)
+            assert not np.signbit(out).any()
+            assert_same_bits_and_strides(out, avg_pool_window_mean(view, 2, 2, 0))
+
+    # the skeleton pools 3x3 windows at stride 1 and 2x2 windows at stride
+    # 2; a 3x3 stride-2 call must not come back stride-1 shaped
+    @pytest.mark.parametrize("kernel,stride,padding", [(3, 2, 1), (3, 2, 0), (2, 1, 0), (2, 2, 1), (1, 1, 0),
+                                                       (4, 1, 1), (2, 3, 0), (3, 1, -1), (5, 1, 0)])
+    def test_unsupported_windows_raise(self, kernel, stride, padding):
+        x = np.ones((2, 3, 4, 4), dtype=np.float32)
+        with pytest.raises(ShapeMismatch):
+            avg_pool2d(x, kernel, stride, padding)
 
     def test_pooling_is_linear(self):
         rng = np.random.default_rng(4)

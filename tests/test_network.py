@@ -20,7 +20,7 @@ from naswot.scoring import hamming_kernel
 from naswot.searchspace import EDGES, Genotype, OpKind, as_generator, format_arch, parse_arch, sample_uniform
 
 from make_golden import MIXED, TABLES
-from oracles import ChannelMajorRecorder, cell_kernels_in_draw_order, codes_from_bits, per_edge_cell_forward, unpack_codes
+from oracles import ChannelMajorRecorder, codes_from_bits, kernels_in_draw_order, per_edge_cell_forward, unpack_codes
 
 _, DESK_GOLDEN_CONFIG, DESK_GOLDEN_BATCH, _, DESK_GOLDEN_ARCHS = TABLES[0]
 
@@ -260,7 +260,7 @@ FUSED = {
 def per_edge_forward(net, batch, recorder):
     """The network's forward pass with every cell run edge by edge, on
     kernels drawn in the per-edge build order."""
-    kernels = iter(cell_kernels_in_draw_order(net.genotype, net.config))
+    kernels = iter(kernels_in_draw_order(net.genotype, net.config)[2])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(naswot.network, "_cell_forward", lambda x, ops, _, epsilon, recorder:
                       per_edge_cell_forward(ops, next(kernels), epsilon, x, recorder))
@@ -300,7 +300,7 @@ class TestFusedCell:
             x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         for genotype in genotypes:
             groups = build_network(genotype, config).stages[0][1][0]
-            kernels = cell_kernels_in_draw_order(genotype, config)[0]
+            kernels = kernels_in_draw_order(genotype, config)[2][0]
             got = _cell_forward(x, genotype.ops, groups, config.bn_epsilon, ChannelMajorRecorder())
             want = per_edge_cell_forward(genotype.ops, kernels, config.bn_epsilon, x, ChannelMajorRecorder())
             assert np.array_equal(got, want), format_arch(genotype)
@@ -337,6 +337,81 @@ class TestLayerCalls:
         assert calls == {"conv2d": 1 + 3 * 2 + cells * groups,
                          "batchnorm_batchstats": 1 + 2 * 2 + cells * groups + 1,
                          "avg_pool2d": 2 + cells * genotype.ops.count(OpKind.AVGPOOL_3X3)}
+
+
+def same_bits(got, want) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got.view(np.uint32),
+                                                                                  want.view(np.uint32))
+
+
+class TestWeightStream:
+    # build_network slices one float32 stream where it once drew each
+    # kernel on its own.  Consecutive draws are one long draw, bit for
+    # bit, so both the genotype's own stream and the all-3x3 genotype's,
+    # which a scorer keeps and of which every stream is a prefix, give
+    # the per-kernel draws' kernels.  One-channel cells keep their convs
+    # unstacked; two cells a stage put a cell's draws between others.
+    @pytest.mark.parametrize("config", [NetworkConfig(), NetworkConfig.desk(), NetworkConfig.desk(stem_channels=1),
+                                        NetworkConfig.desk(cells_per_stage=2, init_seed=7)],
+                             ids=["full", "desk", "desk-stem1", "desk-2cells"])
+    def test_kernels_bit_identical_to_per_kernel_draws(self, config):
+        longest = naswot.network._weight_stream(Genotype.uniform(OpKind.CONV_3X3), config)
+        gen = as_generator(31)
+        genotypes = [parse_arch(arch) for arch in DESK_GOLDEN_ARCHS] + [sample_uniform(gen) for _ in range(6)]
+        for genotype in genotypes:
+            stem, downsamples, cells = kernels_in_draw_order(genotype, config)
+            drawn = [stem, *(k for d in downsamples if d for k in d), *(k for c in cells for k in c.values())]
+            assert naswot.network._weight_count(genotype, config) == sum(k.size for k in drawn)
+            for net in (build_network(genotype, config), build_network(genotype, config, longest)):
+                assert same_bits(net.stem, stem)
+                net_cells = [cell for _, stage_cells in net.stages for cell in stage_cells]
+                assert len(net_cells) == len(cells)
+                for (downsample, _), want in zip(net.stages, downsamples):
+                    assert (downsample is None) == (want is None)
+                    assert downsample is None or all(map(same_bits, downsample, want))
+                for groups, want in zip(net_cells, cells):
+                    assert sorted(k for _, _, edges in groups for k in edges) == sorted(want)
+                    for _, stacked, edges in groups:
+                        assert same_bits(stacked, np.concatenate([want[k] for k in edges])), format_arch(genotype)
+
+    def test_short_stream_raises(self):
+        config = NetworkConfig.desk()
+        genotype = Genotype.uniform(OpKind.CONV_1X1)
+        stream = naswot.network._weight_stream(genotype, config)
+        with pytest.raises(ValueError):
+            build_network(Genotype.uniform(OpKind.CONV_3X3), config, stream)
+
+
+class TestKeptStem:
+    # a scorer runs the stem once and hands its output to every forward
+    @pytest.mark.parametrize("config", [NetworkConfig.desk(), NetworkConfig.desk(stem_channels=1)],
+                             ids=["desk", "desk-stem1"])
+    def test_codes_bit_identical_with_kept_stem(self, config):
+        batch = random_normal_batch((16, *config.input_shape), 3)
+        stem = build_network(Genotype.uniform(OpKind.CONV_3X3), config).stem_output(batch)
+        stem.flags.writeable = False
+        for arch in DESK_GOLDEN_ARCHS:
+            net = build_network(parse_arch(arch), config)
+            want = forward_collect_codes(net, batch)
+            got = forward_collect_codes(net, batch, stem)
+            assert np.array_equal(got.words, want.words) and got.n_units == want.n_units, arch
+
+    def test_kept_stem_skips_the_stem_layers(self, monkeypatch):
+        calls = Counter()
+        for name in ("conv2d", "batchnorm_batchstats"):
+            fn = getattr(naswot.network, name)
+            monkeypatch.setattr(naswot.network, name,
+                                lambda *a, _fn=fn, _name=name, **k: calls.update([_name]) or _fn(*a, **k))
+        config = NetworkConfig.desk()
+        net = build_network(parse_arch(EXAMPLE), config)
+        batch = normal_batch(4, config.input_shape, 0)
+        stem = net.stem_output(batch)
+        calls.clear()
+        forward_collect_codes(net, batch)
+        fresh = Counter(calls)
+        calls.clear()
+        forward_collect_codes(net, batch, stem)
+        assert fresh - calls == Counter({"conv2d": 1, "batchnorm_batchstats": 1})
 
 
 class TestUnitCounts:

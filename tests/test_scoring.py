@@ -1,8 +1,12 @@
+import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import naswot.network
+from naswot.benchdata import random_normal_batch
 from naswot.network import ActivationCodeMatrix, NetworkConfig, build_network, forward_collect_codes
 from naswot.scoring import (
     HammingKernel,
@@ -17,6 +21,7 @@ from naswot.scoring import (
 )
 from naswot.searchspace import Genotype, OpKind, as_generator, parse_arch, sample_uniform
 
+from make_golden import MIXED, TABLES
 from oracles import codes_from_bits, det_cofactor, kernel_per_bit, kernel_python_loops, logdet_lu, unpack_codes
 
 EXAMPLE = "|nor_conv_3x3~0|+|none~0|skip_connect~1|+|avg_pool_3x3~0|nor_conv_1x1~1|skip_connect~2|"
@@ -235,3 +240,74 @@ class TestScoreNetwork:
         codes = forward_collect_codes(net, self.batch)
         score = logdet_score(hamming_kernel(codes))
         assert score.is_valid and math.isfinite(score.value)
+
+
+def same_score(got: Score, want: Score) -> bool:
+    return got.status is want.status and got.value == want.value
+
+
+class TestMakeScorer:
+    # A scorer keeps the all-3x3 genotype's weight stream and the stem's
+    # output while making and keeping each stays under layers._SPLIT_BYTES:
+    # both at the desk preset at batch 128 (363 KB; 256 KB, its stem conv
+    # 0.9 MB), the stream alone at 1024 (its stem conv 7 MB), neither at
+    # the full preset (6.1 MB; 8 MB).  Its scores are score_network's, bit
+    # for bit.
+    _, DESK, DESK_BATCH, _, DESK_ARCHS = TABLES[0]
+
+    @pytest.mark.parametrize("batch_size", [DESK_BATCH, 1024])
+    def test_desk_scores_equal_score_network(self, batch_size):
+        batch = random_normal_batch((batch_size, *self.DESK.input_shape), 0)
+        scorer = make_scorer(self.DESK, batch)
+        for arch in self.DESK_ARCHS:
+            genotype = parse_arch(arch)
+            assert same_score(scorer(genotype), score_network(genotype, self.DESK, batch)), arch
+
+    def test_full_score_equals_score_network_after_the_batch_changes(self):
+        config = NetworkConfig()
+        batch = random_normal_batch((128, *config.input_shape), 0)
+        genotype = parse_arch(MIXED[0])
+        want = score_network(genotype, config, batch)
+        scorer = make_scorer(config, batch)
+        batch[1] = batch[0]  # would make the kernel singular
+        assert same_score(scorer(genotype), want)
+
+    @pytest.mark.parametrize("batch_size", [DESK_BATCH, 1024])
+    def test_desk_score_ignores_later_changes_to_the_batch(self, batch_size):
+        batch = random_normal_batch((batch_size, *self.DESK.input_shape), 1)
+        genotypes = [parse_arch(arch) for arch in MIXED[:3]]
+        want = [score_network(genotype, self.DESK, batch) for genotype in genotypes]
+        scorer = make_scorer(self.DESK, batch)
+        batch[1] = batch[0]
+        batch[2:] = -batch[2:]
+        assert all(same_score(scorer(g), w) for g, w in zip(genotypes, want))
+
+    @pytest.mark.parametrize("config,batch_size,kept", [(DESK, 128, (True, True)), (DESK, 1024, (True, False)),
+                                                        (NetworkConfig(), 128, (False, False))],
+                             ids=["desk", "desk-1024", "full"])
+    def test_keeps_small_pieces_read_only(self, config, batch_size, kept):
+        batch = random_normal_batch((batch_size, *config.input_shape), 0)
+        state = inspect.getclosurevars(make_scorer(config, batch)).nonlocals
+        assert (state["stream"] is not None, state["stem"] is not None) == kept
+        assert not np.shares_memory(state["batch"], batch)
+        for name in ("batch", "stream", "stem"):
+            assert state[name] is None or not state[name].flags.writeable, name
+
+    def test_kept_stem_and_stream_are_not_made_per_genotype(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((naswot.network, "conv2d"), (naswot.network, "_weight_stream")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **k: calls.update([_name]) or _fn(*a, **k))
+        batch = random_normal_batch((32, *self.DESK.input_shape), 0)
+        genotype = parse_arch(EXAMPLE)
+        score_network(genotype, self.DESK, batch)
+        fresh = Counter(calls)
+        scorer = make_scorer(self.DESK, batch)
+        calls.clear()
+        scorer(genotype)
+        assert fresh - calls == Counter({"conv2d": 1, "_weight_stream": 1})
+
+    @pytest.mark.parametrize("shape", [(1, 3, 8, 8), (4, 3, 4, 8), (4, 8, 8)])
+    def test_bad_batch_raises_when_the_scorer_is_made(self, shape):
+        with pytest.raises(ValueError):
+            make_scorer(self.DESK, np.zeros(shape, dtype=np.float32))
