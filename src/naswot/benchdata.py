@@ -83,9 +83,6 @@ class EvaluatorTable:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __contains__(self, arch: str) -> bool:
-        return arch in self.records
-
     def archs(self) -> list[str]:
         """Architecture keys in sorted order (stable sampling domain)."""
         return sorted(self.records)

@@ -28,10 +28,10 @@ import numpy as np
 
 from .benchdata import EvaluatorMiss, EvaluatorTable, load_benchmark_csv, load_cifar10_batch
 from .network import Network, NetworkConfig, NonFiniteActivation, build_network, forward_collect_codes
-from .scoring import HammingKernel, ScoreStatus, Score, hamming_kernel, logdet_score, make_scorer, normalize_kernel, score_network
+from .scoring import HammingKernel, ScoreStatus, Score, hamming_kernel, logdet_score, make_scorer, normalize_kernel
 from .search import SearchResult, area_search, naswot_search, rea_search
 from .searchspace import as_generator, parse_arch, sample_uniform
-from .stats import ablation_run, correlate_space, normal_batch_factory, normalize_by_min
+from .stats import ABLATION_MODES, ablation_run, correlate_space, normal_batch_factory, normalize_by_min
 
 __all__ = ["main"]
 
@@ -66,7 +66,7 @@ _SETTINGS = {
     "eval_cost": (float, None, dict(help="assumed seconds per evaluation for --seconds")),
     "jobs": (int, 1, dict(help="parallel scoring workers")),
     "out": (str, None, dict(help="output file path")),
-    "mode": (str, None, dict(choices=["batches", "random_inputs", "inits", "batch_sizes"])),
+    "mode": (str, None, dict(choices=ABLATION_MODES)),
     "repeats": (int, 20, {}),
     "metric": (str, "val_acc", dict(choices=["val_acc", "test_acc"])),
     "dump_kernel": (str, None, dict(choices=["raw", "normalized"])),
@@ -371,14 +371,9 @@ def _cmd_area(settings: dict) -> int:
 def _cmd_correlate(settings: dict) -> int:
     table = _load_table(settings)
     config, batch = _config_and_batch(settings)
-    report = correlate_space(
-        table,
-        lambda genotype, data: score_network(genotype, config, data),
-        settings["n"],
-        batch,
-        settings["_arch_seed"],
-        metric=settings["metric"],
-    )
+    scorer = make_scorer(config, batch)
+    report = correlate_space(table, lambda genotype, _: scorer(genotype), settings["n"], batch,
+                             settings["_arch_seed"], metric=settings["metric"])
     print(f"tau {_fmt6(report.tau)}")
     print(f"n {report.n}")
     print(f"excluded {report.excluded_count}")

@@ -69,15 +69,18 @@ The tests check blocked, one-block and split batches on inputs built so
 that another summation order shows in the float32 output.
 
 A call that touches ``_SPLIT_BYTES`` or more splits its work into one
-contiguous part per CPU in the process's affinity mask (``_split``);
-the code recorder and the Hamming kernel use the same helper.  Every
-part runs the same operations a one-part call runs, on its own rows of
-buffers the caller made: runs of images for ``conv2d`` (blocked as
-above inside each part), both pools, ``relu``, ``add``, the code
-recorder and batch-norm's third pass; pairs of row blocks for the
-Hamming kernel, whose entries are integers.  Batch-norm's two sums are not split: each channel's sum
-stays one sequence of additions, taken by the caller.  So no bit or
-stride depends on the part count, and ``taskset`` to one CPU gives the
+contiguous part per CPU in the process's affinity mask (``_split``):
+the caller runs the first part, and a thread it starts and joins runs
+each other part, so no thread outlives the call and calls from several
+threads share nothing.  The code recorder and the Hamming kernel use
+the same helper.  Every part runs the same operations a one-part call
+runs, on its own rows of buffers the caller made: runs of images for
+``conv2d`` (blocked as above inside each part), both pools, ``relu``,
+``add``, the code recorder and batch-norm's third pass; pairs of row
+blocks for the Hamming kernel, whose entries are integers.
+Batch-norm's two sums are not split: each channel's sum stays one
+sequence of additions, taken by the caller.  So no bit or stride
+depends on the part count, and ``taskset`` to one CPU gives the
 same scores.
 """
 
@@ -109,59 +112,42 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 # the second core saves (split from 2 MB up, desk-preset scoring at batch
 # 128 ran ~25% slower)
 _SPLIT_BYTES = 4 << 20
-_pool = None  # a ThreadPoolExecutor, made by the first call that splits
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # a forked child has none of the pool's threads; it makes its own pool
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _split(n: int, nbytes: int, work, scratch=None) -> None:
     """Run ``work(start, stop)`` over contiguous parts of range(n), one per CPU.
 
     A call touching fewer than ``_SPLIT_BYTES`` is one part.  Otherwise
-    the caller runs the first part and the shared pool the others; a
-    part the pool has not started by the time the caller is done is
-    cancelled and run by the caller, so threads that share the pool
-    (``search --jobs``) never wait on its queue.  With ``scratch``, each
-    part runs ``work(start, stop, scratch(start, stop))``, every buffer
-    made by the caller first, so the pool's threads allocate no large
-    array.  Every part has finished, or was cancelled, before this
-    returns or raises the first error a part raised.
+    the caller starts one thread for each part after the first, runs the
+    first part itself and joins the threads.  With ``scratch``, each part
+    runs ``work(start, stop, scratch(start, stop))``, every buffer made
+    by the caller first, so the threads allocate no large array.  Every
+    part has finished before this returns or raises the first error a
+    part raised, in part order.
     """
-    global _pool
     parts = min(_WORKERS, n) if nbytes >= _SPLIT_BYTES else 1
     if parts <= 1:
         return work(0, n, scratch(0, n)) if scratch else work(0, n)
     cuts = [n * p // parts for p in range(parts + 1)]
     args = [(a, b, scratch(a, b)) if scratch else (a, b) for a, b in zip(cuts, cuts[1:])]
-    with _pool_lock:
-        if _pool is None:
-            # imported here, so processes that never split skip its import time
-            from concurrent.futures import ThreadPoolExecutor
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="naswot-split")
-        handed = [(_pool.submit(work, *a), a) for a in args[1:]]
-    error = None
+    errors = [None] * parts
+
+    def run(part: int) -> None:
+        try:
+            work(*args[part])
+        except BaseException as exc:
+            errors[part] = exc
+
+    threads = [threading.Thread(target=run, args=(part,), name="naswot-split") for part in range(1, parts)]
     try:
-        work(*args[0])
-    except BaseException as exc:
-        error = exc
-    for future, a in handed:
-        if not future.cancel():
-            exc = future.exception()  # waits for the part to finish
-            error = error or exc
-        elif error is None:
-            try:
-                work(*a)
-            except BaseException as exc:
-                error = exc
+        for thread in threads:
+            thread.start()
+        run(0)
+    finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
+    error = next((exc for exc in errors if exc is not None), None)
     if error is not None:
         raise error
 

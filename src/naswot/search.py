@@ -52,16 +52,13 @@ class SearchResult:
     """Outcome of one search run.
 
     ``history`` lists every candidate in creation order (including the
-    chosen one).  ``seed`` echoes the integer seed when the driver was
-    called with one; drivers called with a live Generator record None.
-    ``pool`` is only populated by area_search (the scored pre-selection
-    pool, which is wider than the evaluated history).
+    chosen one).  ``pool`` is only populated by area_search (the scored
+    pre-selection pool, which is wider than the evaluated history).
     """
 
     chosen: Candidate
     history: tuple[Candidate, ...]
     wall_time: float
-    seed: Optional[int] = None
     pool: tuple[Candidate, ...] = field(default=())
 
 
@@ -80,7 +77,6 @@ def naswot_search(
     fixed scorer) and the earliest draw of the best score wins.
     """
     start = time.perf_counter()
-    seed = _seed_of(rng)
     gen = as_generator(rng)
     if candidates is None:
         if sample_count < 1:
@@ -103,12 +99,7 @@ def naswot_search(
             best = cand
     if best is None:
         raise ValueError("no candidates to search over")
-    return SearchResult(
-        chosen=best,
-        history=tuple(history),
-        wall_time=time.perf_counter() - start,
-        seed=seed,
-    )
+    return SearchResult(chosen=best, history=tuple(history), wall_time=time.perf_counter() - start)
 
 
 def _tournament_best(population: list[Candidate], k: int, gen: np.random.Generator) -> Candidate:
@@ -159,7 +150,6 @@ def rea_search(
     """
     _check_evo_args(population_size, tournament_size, budget_evals)
     start = time.perf_counter()
-    seed = _seed_of(rng)
     gen = as_generator(rng)
 
     population: list[Candidate] = []
@@ -171,8 +161,7 @@ def rea_search(
             population_size, gen, history)
 
     chosen = max(history, key=lambda c: (c.accuracy, -c.birth))
-    return SearchResult(chosen=chosen, history=tuple(history),
-                        wall_time=time.perf_counter() - start, seed=seed)
+    return SearchResult(chosen=chosen, history=tuple(history), wall_time=time.perf_counter() - start)
 
 
 def area_search(
@@ -196,7 +185,6 @@ def area_search(
     if pool_size < population_size:
         raise ValueError("pool_size must be at least population_size")
     start = time.perf_counter()
-    seed = _seed_of(rng)
     gen = as_generator(rng)
 
     pool = [
@@ -220,13 +208,8 @@ def area_search(
         chosen=chosen,
         history=tuple(history),
         wall_time=time.perf_counter() - start,
-        seed=seed,
         pool=tuple(pool),
     )
-
-
-def _seed_of(rng) -> Optional[int]:
-    return int(rng) if isinstance(rng, (int, np.integer)) else None
 
 
 def _check_evo_args(population_size: int, tournament_size: int, budget_evals: int) -> None:

@@ -9,8 +9,8 @@ import pytest
 import naswot
 from naswot import cli
 from naswot.cli import main
-from naswot.scoring import Score
-from naswot.searchspace import Genotype, OpKind
+from naswot.scoring import Score, score_network
+from naswot.searchspace import Genotype, OpKind, parse_arch
 
 ZERO_ARCH = str(Genotype.uniform(OpKind.ZEROISE))
 CONV_ARCH = str(Genotype.uniform(OpKind.CONV_3X3))
@@ -247,6 +247,16 @@ class TestCorrelateCommand:
         _, rows = read_rows(report)
         assert rows[0] == ["arch", "score", "status", "accuracy"]
         assert len(rows) == 7
+
+    def test_scores_are_score_network_scores(self, capsys, tmp_path, full_bench_csv):
+        report = tmp_path / "report.csv"
+        args = ["correlate", "--bench", str(full_bench_csv), *DESK, "--n", "6", "--out", str(report)]
+        assert run(capsys, *args)[0] == 0
+        config, batch = cli._config_and_batch(cli._resolve_settings(cli._build_parser().parse_args(args)))
+        _, rows = read_rows(report)
+        for arch, value, status, _ in rows[1:]:
+            want = score_network(parse_arch(arch), config, batch)
+            assert (value, status) == ((repr(want.value) if want.is_valid else ""), want.status.name)
 
     def test_rerun_byte_identical(self, capsys, tmp_path, full_bench_csv):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

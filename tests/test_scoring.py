@@ -135,6 +135,11 @@ class TestLogdet:
         matrix = np.array([[1.0, 2.0], [2.0, 1.0]])  # det < 0
         assert logdet_score(matrix).status is ScoreStatus.SINGULAR
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3,), (), (2, 2, 2)])
+    def test_malformed_matrix_raises(self, shape):
+        with pytest.raises(ValueError, match="square matrix"):
+            logdet_score(np.ones(shape))
+
 
 class TestNormalize:
     def test_unit_diagonal_always(self):

@@ -10,7 +10,6 @@ import multiprocessing
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -100,24 +99,26 @@ class TestSplitHelper:
         # no part still runs once the call has raised
         assert finished == [1 - failing]
 
-    def test_a_busy_pool_leaves_the_part_to_the_caller(self, monkeypatch):
-        """A part queued behind another caller's work is run by its own
-        caller, so threads sharing the pool cannot wait on each other."""
-        split_into(monkeypatch, 2)
-        pool = ThreadPoolExecutor(1)
-        monkeypatch.setattr(layers, "_pool", pool)
-        release = threading.Event()
-        blocker = pool.submit(release.wait, 30)
-        try:
-            ran_in = []
-            start = time.perf_counter()
-            _split(2, 1, lambda a, b: ran_in.append(threading.get_ident()))
-            assert time.perf_counter() - start < 5
-            assert ran_in == [threading.get_ident()] * 2
-        finally:
-            release.set()
-            blocker.result()
-            pool.shutdown()
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_thread_outlives_the_call(self, monkeypatch, fails):
+        split_into(monkeypatch, 3)
+        before = threading.active_count()
+        ran_in = []
+
+        def work(start, stop):
+            ran_in.append(threading.current_thread())
+            if fails and start > 0:
+                raise ZeroDivisionError
+
+        if fails:
+            with pytest.raises(ZeroDivisionError):
+                _split(3, 1, work)
+        else:
+            _split(3, 1, work)
+        # the caller, and a thread of its own for each other part
+        assert len(set(ran_in)) == 3 and threading.current_thread() in ran_in
+        assert sorted(t.name for t in ran_in if t is not threading.current_thread()) == ["naswot-split"] * 2
+        assert threading.active_count() == before
 
 
 class TestSharedPool:
@@ -305,7 +306,7 @@ class TestUnitCountsSplit:
 
 
 def _score_in_child(arch, batch, results) -> None:
-    results.put((layers._pool is None, score_network(parse_arch(arch), NetworkConfig.desk(), batch)))
+    results.put(score_network(parse_arch(arch), NetworkConfig.desk(), batch))
 
 
 class TestFork:
@@ -314,17 +315,15 @@ class TestFork:
         config = NetworkConfig.desk()
         batch = random_normal_batch((16, *config.input_shape), 3)
         want = score_network(parse_arch(MIXED[0]), config, batch)
-        assert layers._pool is not None  # the parent's pool has its threads
         context = multiprocessing.get_context("fork")
         results = context.Queue()
         child = context.Process(target=_score_in_child, args=(MIXED[0], batch, results))
         child.start()
         try:
-            fresh_pool, got = results.get(timeout=60)
+            got = results.get(timeout=60)
         finally:
             child.join(timeout=60)
             if child.is_alive():
                 child.kill()
         assert not child.is_alive() and child.exitcode == 0
-        assert fresh_pool  # the child dropped the parent's pool
         assert got == want and got.value == want.value
