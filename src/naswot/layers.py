@@ -34,8 +34,12 @@ and blocking at batches ending inside, below and on a block edge, in
 both stagings.  The
 stride-1 pool adds each window row, then the row sums, which is the
 order numpy's window mean uses on every memory layout but fully
-reversed (W, H, C, N) memory, which the forward pass never produces;
-it pads in C order, so its output is C-ordered on every layout.  The
+reversed (W, H, C, N) memory, which the forward pass never produces.
+Each output is the same sequence of additions whatever the memory
+order, so the pool sums in the input's own memory order, where an add
+over NHWC memory runs along a map row of w * C floats, and divides
+into a C-ordered output on every layout; only that output's layout
+reaches a later bit, through the stride-2 pool's add order.  The
 stride-2 pool adds four strided views of the window's taps, x00 x01
 on the top row and x10 x11 below, in the order numpy's window mean
 takes them, which is set by the memory layout and which the stored
@@ -344,48 +348,65 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None
 def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Average pooling over kernel x kernel windows.
 
-    Takes the stride-1 odd windows of a cell's pool edge and the 2x2,
-    stride-2, unpadded window of a downsample shortcut; any other window
-    raises ShapeMismatch.  Zero padding counts toward the average (the
-    divisor is always kernel**2), which keeps the operator linear in its
-    input.
+    Takes the stride-1, same-size odd windows of a cell's pool edge
+    (padding kernel // 2) and the 2x2, stride-2, unpadded window of a
+    downsample shortcut; any other window raises ShapeMismatch.  Zero
+    padding counts toward the average (the divisor is always kernel**2),
+    which keeps the operator linear in its input.  The stride-1 pool
+    sums in the input's memory order and returns C order.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"need a 4-d input, got {x.shape}")
     n, c, h, w = x.shape
     if (kernel, stride, padding) == (2, 2, 0):
         return _pool_2x2_stride_2(x)
-    oh = h + 2 * padding - kernel + 1
-    ow = w + 2 * padding - kernel + 1
-    if stride != 1 or kernel < 3 or kernel % 2 == 0 or padding < 0 or oh < 1 or ow < 1:
-        raise ShapeMismatch(f"no {kernel}x{kernel} pool with stride {stride} and padding {padding} "
-                            f"over {h}x{w} maps; pools are stride-1 odd windows or 2x2 stride 2")
-    # the input inside a zero border, in C order whatever its layout
-    padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype) if padding else x
-    # laid out like the sums numpy would make of the padded input
-    rows = np.empty_like(padded[..., :ow])
+    if stride != 1 or kernel < 3 or kernel % 2 == 0 or padding != kernel // 2:
+        raise ShapeMismatch(f"no {kernel}x{kernel} pool with stride {stride} and padding {padding}; "
+                            "pools are stride-1 odd windows padded to the same size or 2x2 stride 2")
+    # the non-batch axes from largest to smallest stride: the order the
+    # input's values lie in memory, which each buffer below keeps, so an
+    # add on NHWC memory runs over a map row of w * C floats
+    order = (0, *sorted(range(1, 4), key=lambda a: -x.strides[a]))
+    back = tuple(map(order.index, range(4)))  # the inverse permutation
+    c_order = order == (0, 1, 2, 3)
+
+    def buffer(make, height: int, width: int) -> np.ndarray:
+        """A (n, c, height, width) array laid out in memory in ``order``."""
+        shape = (n, c, height, width)
+        return make([shape[a] for a in order], dtype=x.dtype).transpose(back)
+
+    # the input inside a zero border that stays zero: only the interior is written
+    padded = buffer(np.zeros, h + 2 * padding, w + 2 * padding)
+    rows = buffer(np.empty, h + 2 * padding, w)
 
     def row_sums(start: int, stop: int) -> None:
-        src = padded[start:stop]
-        if padding:
-            src[:, :, padding:padding + h, padding:padding + w] = x[start:stop]
-        part = rows[start:stop]
-        np.add(src[..., 0:ow], src[..., 1:1 + ow], out=part)
+        src, part = padded[start:stop], rows[start:stop]
+        src[:, :, padding:padding + h, padding:padding + w] = x[start:stop]
+        np.add(src[..., 0:w], src[..., 1:1 + w], out=part)
         for dx in range(2, kernel):
-            part += src[..., dx:dx + ow]
+            part += src[..., dx:dx + w]
 
     _split(n, x.nbytes, row_sums)
-    del padded  # freed before the output buffer is made
-    out = np.empty_like(rows[:, :, :oh])
+    del padded  # freed before the column sums are made
+    # C-ordered sums are the output, divided in place; the sums of any
+    # other layout are divided into a C-ordered output once the row sums
+    # are freed
+    sums = buffer(np.empty, h, w)
 
     def column_sums(start: int, stop: int) -> None:
-        src, part = rows[start:stop], out[start:stop]
-        np.add(src[:, :, 0:oh], src[:, :, 1:1 + oh], out=part)
+        src, part = rows[start:stop], sums[start:stop]
+        np.add(src[:, :, 0:h], src[:, :, 1:1 + h], out=part)
         for dy in range(2, kernel):
-            part += src[:, :, dy:dy + oh]
-        part /= kernel * kernel
+            part += src[:, :, dy:dy + h]
+        if c_order:
+            part /= kernel * kernel
 
     _split(n, x.nbytes, column_sums)
+    if c_order:
+        return sums
+    del rows  # freed before the output is made
+    out = np.empty(x.shape, dtype=x.dtype)
+    _split(n, x.nbytes, lambda start, stop: np.divide(sums[start:stop], kernel * kernel, out=out[start:stop]))
     return out
 
 

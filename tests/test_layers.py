@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -429,13 +431,33 @@ class TestPooling:
             assert_same_bits_and_strides(out, avg_pool_window_mean(view, 2, 2, 0))
 
     # the skeleton pools 3x3 windows at stride 1 and 2x2 windows at stride
-    # 2; a 3x3 stride-2 call must not come back stride-1 shaped
+    # 2; a 3x3 stride-2 call must not come back stride-1 shaped, and a
+    # stride-1 window must be same-size (padding kernel // 2)
     @pytest.mark.parametrize("kernel,stride,padding", [(3, 2, 1), (3, 2, 0), (2, 1, 0), (2, 2, 1), (1, 1, 0),
-                                                       (4, 1, 1), (2, 3, 0), (3, 1, -1), (5, 1, 0)])
+                                                       (4, 1, 1), (2, 3, 0), (3, 1, -1), (5, 1, 0),
+                                                       (3, 1, 0), (3, 1, 2), (5, 1, 1)])
     def test_unsupported_windows_raise(self, kernel, stride, padding):
         x = np.ones((2, 3, 4, 4), dtype=np.float32)
         with pytest.raises(ShapeMismatch):
             avg_pool2d(x, kernel, stride, padding)
+
+    def test_stride_1_peak_is_the_padded_input_and_its_row_sums(self):
+        # each buffer is freed before the one two steps after it is made:
+        # the padded input before the column sums, and on NHWC memory the
+        # row sums before the output
+        n, c, h = 128, 16, 32
+        x = np.random.default_rng(5).standard_normal((n, c, h, h), dtype=np.float32)
+        padded_and_rows = n * c * (h + 2) * ((h + 2) + h) * x.itemsize
+        for view in in_layouts(x):
+            tracemalloc.start()
+            try:
+                avg_pool2d(view, 3, 1, 1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # 1 MB for the interpreter's own objects; one more full-size
+            # buffer would add 8 MB
+            assert peak <= padded_and_rows + (1 << 20)
 
     def test_pooling_is_linear(self):
         rng = np.random.default_rng(4)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import naswot.layers as layers
+import naswot.network
 import naswot.scoring
 from naswot.benchdata import random_normal_batch
 from naswot.layers import _split, add, avg_pool2d, batchnorm_batchstats, conv2d, relu
@@ -186,6 +187,23 @@ class TestLayersSplit:
             for other in in_layouts(x[::-1]):
                 assert_same_bits_and_strides(add(view, other), view + other)
 
+    # the stride-1 pool keeps its input's memory order, taken from the
+    # strides, which tie on one channel and on 1x1 maps; maps that are not
+    # square (input_shape (3, 8, 16)); NHWC memory as in_layouts makes it
+    # and as a fresh buffer, whose strides tie where the other's do not
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(5, 1, 8, 8), (5, 6, 1, 1), (5, 1, 1, 1), (5, 4, 8, 16), (5, 4, 4, 8),
+                                       (5, 4, 2, 4), (5, 1, 2, 4)])
+    def test_stride_1_pool_layouts(self, monkeypatch, workers, shape):
+        x = np.random.default_rng(list(shape)).standard_normal(shape, dtype=np.float32)
+        fresh = np.empty((shape[0], *shape[2:], shape[1]), dtype=x.dtype)
+        fresh[...] = x.transpose(0, 2, 3, 1)
+        split_into(monkeypatch, workers)
+        for view in (*in_layouts(x), fresh.transpose(0, 3, 1, 2)):
+            for kernel in (3, 5):
+                assert_same_bits_and_strides(avg_pool2d(view, kernel, 1, kernel // 2),
+                                             avg_pool_window_mean(view, kernel, 1, kernel // 2))
+
     # channel counts that split into pairs, pairs plus an odd channel,
     # and stacked parts whose channel runs cross the split's cut
     @pytest.mark.parametrize("workers", [2, 3])
@@ -264,6 +282,34 @@ class TestForwardSplit:
             seen.clear()
             call()
             assert seen and all(seen)
+
+
+class TestForwardPools:
+    """Every pool call a desk-preset forward makes, on the layouts the
+    forward gives it, matches the window mean in bits and strides."""
+
+    # a pool edge out of node 2, which sums a pool and a conv edge
+    # (C-ordered and NHWC operands) into C order
+    POOL_OF_A_MIXED_SUM = "|nor_conv_3x3~0|+|avg_pool_3x3~0|nor_conv_1x1~1|+|skip_connect~0|none~1|avg_pool_3x3~2|"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_pool_call_matches_the_window_mean(self, monkeypatch, workers):
+        config = NetworkConfig.desk()
+        batch = random_normal_batch((128, *config.input_shape), 0)
+        real, checked = naswot.network.avg_pool2d, []
+
+        def checking(x, kernel, stride=1, padding=0):
+            out = real(x, kernel, stride, padding)
+            assert_same_bits_and_strides(out, avg_pool_window_mean(x, kernel, stride, padding))
+            checked.append((stride, x.flags.c_contiguous))
+            return out
+
+        monkeypatch.setattr(naswot.network, "avg_pool2d", checking)
+        split_into(monkeypatch, workers)
+        for arch in (*MIXED, self.POOL_OF_A_MIXED_SUM):
+            forward_collect_codes(build_network(parse_arch(arch), config), batch)
+        # stride-1 and stride-2 pools of C-ordered and of NHWC input
+        assert set(checked) == {(1, True), (1, False), (2, True), (2, False)}
 
 
 class TestErrorsSplit:
