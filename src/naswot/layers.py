@@ -9,7 +9,8 @@ linear-layer output exactly, bit for bit.
 Numerical contract: ``conv2d`` and ``avg_pool2d`` return the same bits
 and the same strides as the sliding-window expressions they replaced
 (kept as references in ``tests/oracles.py``), on the NCHW and NHWC
-memory layouts the forward pass produces, so every score is unchanged.
+memory layouts the forward pass produces, so every score is unchanged;
+the stride-1 pool's exceptions on one-pixel maps are named below.
 For ``conv2d`` that holds from two output channels up: with one, numpy
 hands the one-column GEMM to a matrix-vector BLAS routine whose
 summation order follows the operands' layout, so only the values agree,
@@ -35,20 +36,25 @@ both stagings.  The
 stride-1 pool adds each window row, then the row sums, which is the
 order numpy's window mean uses on every memory layout but fully
 reversed (W, H, C, N) memory, which the forward pass never produces.
-Each output is the same sequence of additions whatever the memory
-order, so the pool sums in the input's own memory order, where an add
-over NHWC memory runs along a map row of w * C floats, and divides
-into a C-ordered output on every layout; only that output's layout
-reaches a later bit, through the stride-2 pool's add order.  The
-stride-2 pool adds four strided views of the window's taps, x00 x01
-on the top row and x10 x11 below, in the order numpy's window mean
-takes them, which is set by the memory layout and which the stored
-reference scores encode: ``(x00 + x01) + (x10 + x11)`` on C-ordered
-input whose output rows hold more than one pixel, and
-``((x00 + x01) + x10) + x11`` on NHWC memory and on C-ordered input
-pooled to one column.  numpy's sum starts from +0, which shows only
-on a window of -0s, so the sum then adds +0 before it is divided by 4;
-the output is laid out as numpy lays out that mean.
+Maps one pixel wide and three or more tall are the other exception:
+numpy adds their windows in another order, so the last bit can
+differ.  Each output is the same sequence of additions whatever the
+memory order, so the pool sums in the input's own memory order, where
+an add over NHWC memory runs along a map row of w * C floats, and
+divides into a C-ordered output on every layout; only that output's
+layout reaches a later bit, through the stride-2 pool's add order.
+numpy lays out the mean of a one-image NHWC batch whose map is one
+pixel high or wide as its input, so only there do the strides differ.
+No preset pools such maps.  The stride-2 pool adds four strided views
+of the window's taps, x00 x01 on the top row and x10 x11 below, in the
+order numpy's window mean takes them, which is set by the memory
+layout and which the stored reference scores encode:
+``(x00 + x01) + (x10 + x11)`` on C-ordered input whose output rows
+hold more than one pixel, and ``((x00 + x01) + x10) + x11`` on NHWC
+memory and on C-ordered input pooled to one column.  numpy's sum
+starts from +0, which shows only on a window of -0s, so the sum then
+adds +0 before it is divided by 4; the output is laid out as numpy
+lays out that mean.
 
 ``batchnorm_batchstats`` returns NHWC memory on every input layout,
 with the bits the float64-temporaries expression the tests keep as its
@@ -348,27 +354,28 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None
 def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Average pooling over kernel x kernel windows.
 
-    Takes the stride-1, same-size odd windows of a cell's pool edge
-    (padding kernel // 2) and the 2x2, stride-2, unpadded window of a
-    downsample shortcut; any other window raises ShapeMismatch.  Zero
-    padding counts toward the average (the divisor is always kernel**2),
-    which keeps the operator linear in its input.  The stride-1 pool
-    sums in the input's memory order and returns C order.
+    Takes the 3x3, stride-1 window padded by 1 of a cell's pool edge and
+    the 2x2, stride-2, unpadded window of a downsample shortcut; any
+    other window raises ShapeMismatch.  Zero padding counts toward the
+    average (the divisor is always 9), which keeps the operator linear
+    in its input.  The stride-1 pool sums in the input's memory order
+    and returns C order; on maps one pixel wide and three or more tall
+    its last bit can differ from numpy's window mean (see the module
+    docstring).
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"need a 4-d input, got {x.shape}")
     n, c, h, w = x.shape
     if (kernel, stride, padding) == (2, 2, 0):
         return _pool_2x2_stride_2(x)
-    if stride != 1 or kernel < 3 or kernel % 2 == 0 or padding != kernel // 2:
+    if (kernel, stride, padding) != (3, 1, 1):
         raise ShapeMismatch(f"no {kernel}x{kernel} pool with stride {stride} and padding {padding}; "
-                            "pools are stride-1 odd windows padded to the same size or 2x2 stride 2")
+                            "pools are 3x3 stride 1 padding 1 or 2x2 stride 2")
     # the non-batch axes from largest to smallest stride: the order the
     # input's values lie in memory, which each buffer below keeps, so an
     # add on NHWC memory runs over a map row of w * C floats
     order = (0, *sorted(range(1, 4), key=lambda a: -x.strides[a]))
     back = tuple(map(order.index, range(4)))  # the inverse permutation
-    c_order = order == (0, 1, 2, 3)
 
     def buffer(make, height: int, width: int) -> np.ndarray:
         """A (n, c, height, width) array laid out in memory in ``order``."""
@@ -376,37 +383,28 @@ def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) ->
         return make([shape[a] for a in order], dtype=x.dtype).transpose(back)
 
     # the input inside a zero border that stays zero: only the interior is written
-    padded = buffer(np.zeros, h + 2 * padding, w + 2 * padding)
-    rows = buffer(np.empty, h + 2 * padding, w)
+    padded = buffer(np.zeros, h + 2, w + 2)
+    rows = buffer(np.empty, h + 2, w)
 
     def row_sums(start: int, stop: int) -> None:
         src, part = padded[start:stop], rows[start:stop]
-        src[:, :, padding:padding + h, padding:padding + w] = x[start:stop]
+        src[:, :, 1:1 + h, 1:1 + w] = x[start:stop]
         np.add(src[..., 0:w], src[..., 1:1 + w], out=part)
-        for dx in range(2, kernel):
-            part += src[..., dx:dx + w]
+        part += src[..., 2:2 + w]
 
     _split(n, x.nbytes, row_sums)
-    del padded  # freed before the column sums are made
-    # C-ordered sums are the output, divided in place; the sums of any
-    # other layout are divided into a C-ordered output once the row sums
-    # are freed
+    del padded  # each buffer is freed before the one after the next is made
     sums = buffer(np.empty, h, w)
 
     def column_sums(start: int, stop: int) -> None:
         src, part = rows[start:stop], sums[start:stop]
         np.add(src[:, :, 0:h], src[:, :, 1:1 + h], out=part)
-        for dy in range(2, kernel):
-            part += src[:, :, dy:dy + h]
-        if c_order:
-            part /= kernel * kernel
+        part += src[:, :, 2:2 + h]
 
     _split(n, x.nbytes, column_sums)
-    if c_order:
-        return sums
-    del rows  # freed before the output is made
+    del rows
     out = np.empty(x.shape, dtype=x.dtype)
-    _split(n, x.nbytes, lambda start, stop: np.divide(sums[start:stop], kernel * kernel, out=out[start:stop]))
+    _split(n, x.nbytes, lambda start, stop: np.divide(sums[start:stop], 9, out=out[start:stop]))
     return out
 
 

