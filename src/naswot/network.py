@@ -20,11 +20,11 @@ Convolution edges are ReLU -> conv -> BN triplets, so every such edge
 contributes one ReLU site.  A forward pass records, for every input,
 one bit per ReLU unit (1 where the pre-activation is strictly positive),
 bit-packed 64 to a word.  The code length N_A is the total unit count
-over all sites.
+over all sites, a site of multiplicity m counted m times.
 
 The forward pass runs a cell node by node (A, B, C) and does each
 node's shared work once.  The m conv edges leaving a node share one
-ReLU, whose site is recorded once and written m times into the codes,
+ReLU, whose site is recorded once and weighted m times in the kernel,
 and those of one kernel size share one convolution with their kernels
 stacked along C_out and one batch-norm over the stacked channels, which
 writes each edge's channels to its own NHWC array.  Stacking moves no
@@ -36,18 +36,15 @@ sum would have with the zeros in it, because the stride-2 pool after a
 stage sums in an order set by its input's layout.
 
 The weights are one float32 standard-normal stream drawn at
-``init_seed``, cut into kernels in build order.  A scorer
-(``scoring.make_scorer``) keeps the all-3x3 genotype's stream, of which
-every genotype's is a prefix, and the stem's output for its batch; handed
-that output, a forward pass starts at stage 1.  It keeps each only while
-making and keeping it stays under ``layers._SPLIT_BYTES``: both at the
-desk preset at batch 128, the stream alone at batch 1024 (whose stem
-conv splits), neither at the full preset (6.1 and 8 MB).
+``init_seed``, cut into kernels in build order.  Handed the stem's
+output, which a scorer may keep (see ``scoring.make_scorer``), a
+forward pass starts at stage 1.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,16 +102,21 @@ class NetworkConfig:
 class ActivationCodeMatrix:
     """Per-input binary ReLU codes, bit-packed into uint64 words.
 
-    Row i holds the n_units bits of input i, site after site in forward
-    order; a cell node leading m conv edges writes its site m times in
-    a row.  Within a site the units keep the site's memory order: row,
-    column, then channel for the NHWC memory that conv2d and batch-norm
-    return, channel-major for C-contiguous input.  The kernel counts
-    agreeing bits, so column order does not reach a score.
+    Row i holds input i's bits site after site in forward order, each
+    site from a word boundary on, its last word padded with 0 bits.
+    ``sites`` holds each site's (units, multiplicity m); n_units counts
+    a site's units m times.  Within a site the units keep its memory
+    order: row, column, then channel for the NHWC memory that conv2d and
+    batch-norm return, channel-major for C-contiguous input.  The kernel
+    counts agreeing bits, so column order does not reach a score.
     """
 
     words: np.ndarray  # (N, n_words) uint64
-    n_units: int
+    sites: tuple[tuple[int, int], ...]
+
+    @property
+    def n_units(self) -> int:
+        return sum(units * m for units, m in self.sites)
 
     @property
     def n_inputs(self) -> int:
@@ -122,36 +124,36 @@ class ActivationCodeMatrix:
 
 
 class _CodeRecorder:
-    """Packs ReLU pre-activation sign bits into one (N, n_words) buffer.
+    """Packs ReLU pre-activation sign bits into codes laid out for
+    ``sites``, the (units, multiplicity) of each site in forward order.
 
     Each site's bits are taken in the site's own memory order, batch
     axis first, so no site is copied into channel-major order, and are
-    packed as soon as they end on a byte boundary; a site that ends
-    inside a byte waits for the next.  A large site is checked, signed
-    and packed in runs of images, one per CPU (see ``layers``).
+    packed once.  A large site is checked, signed and packed in runs of
+    images, one per CPU (see ``layers``).
     """
 
-    def __init__(self, n_inputs: int, n_units: int) -> None:
-        self.packed = np.zeros((n_inputs, -(-n_units // 64) * 8), dtype=np.uint8)
-        self.n_units = n_units
-        self.filled = 0
-        self.pending: list[np.ndarray] = []  # (N, k) bits from the last byte boundary on
+    def __init__(self, n_inputs: int, sites) -> None:
+        sites = tuple(sites)
+        self.plan = ActivationCodeMatrix(np.zeros((n_inputs, sum(-(-u // 64) for u, _ in sites)), np.uint64), sites)
+        self.packed = self.plan.words.view(np.uint8)  # the plan's words, filled site by site
+        self.recorded: list[tuple[int, int]] = []
+        self.filled = self.at = 0  # the units (m per unit of multiplicity m) and bytes recorded
 
     def record(self, pre_activation: np.ndarray, times: int = 1) -> None:
-        """Record a site's sign bits ``times`` times over: the ReLU of a
-        node that leads that many conv edges."""
+        """Record a site's sign bits with multiplicity ``times``: the
+        ReLU of a node that leads that many conv edges."""
         # the non-batch axes from largest to smallest stride: the order
         # the site's values lie in memory
         axes = sorted(range(1, pre_activation.ndim), key=lambda a: -pre_activation.strides[a])
         src = pre_activation.transpose(0, *axes)
         units = src[0].size
-        if self.filled + times * units > self.n_units:
-            raise RuntimeError(f"ReLU sites hold more units than the {self.n_units} "
+        at, span = self.at, -(-units // 64) * 8
+        if self.filled + times * units > self.plan.n_units or at + span > self.packed.shape[1]:
+            raise RuntimeError(f"ReLU sites hold more units than the {self.plan.n_units} "
                                "that count_relu_units gives")
         n = src.shape[0]
         bits = np.empty((n, units), dtype=bool)
-        aligned = self.filled % 8 == 0 and units % 8 == 0
-        first = self.filled // 8
 
         def sign_bits(start: int, stop: int) -> None:
             part = bits[start:stop].reshape(src[start:stop].shape)
@@ -159,31 +161,18 @@ class _CodeRecorder:
             if not part.all():
                 raise NonFiniteActivation("NaN or Inf pre-activation at a ReLU site")
             np.greater(src[start:stop], 0, out=part)
-            if aligned:
-                # packed once, copied into each repeat's bytes
-                packed = np.packbits(bits[start:stop], axis=1)
-                for t in range(times):
-                    at = first + t * packed.shape[1]
-                    self.packed[start:stop, at:at + packed.shape[1]] = packed
+            self.packed[start:stop, at:at + -(-units // 8)] = np.packbits(bits[start:stop], axis=1)
 
         _split(n, src.nbytes, sign_bits)
-        if aligned:
-            self.filled += times * units
-            return
-        for _ in range(times):
-            self.filled += units
-            self.pending.append(bits)
-            if self.filled % 8 == 0 or self.filled == self.n_units:
-                run = self.pending[0] if len(self.pending) == 1 else np.concatenate(self.pending, axis=1)
-                start = (self.filled - run.shape[1]) // 8
-                self.packed[:, start:start + -(-run.shape[1] // 8)] = np.packbits(run, axis=1)
-                self.pending = []
+        self.filled += times * units
+        self.at += span
+        self.recorded.append((units, times))
 
     def codes(self) -> ActivationCodeMatrix:
-        if self.filled != self.n_units:
+        if tuple(self.recorded) != self.plan.sites:
             raise RuntimeError(f"ReLU sites hold {self.filled} units, count_relu_units gives "
-                               f"{self.n_units}")
-        return ActivationCodeMatrix(words=self.packed.view(np.uint64), n_units=self.n_units)
+                               f"{self.plan.n_units}")
+        return self.plan
 
 
 def _cell_forward(x, ops: tuple[OpKind, ...], cell_groups: list, epsilon: float, recorder):
@@ -310,9 +299,7 @@ _KERNEL_SIZE = {OpKind.CONV_3X3: 3, OpKind.CONV_1X1: 1}
 
 
 def _weight_count(genotype: Genotype, config: NetworkConfig) -> int:
-    """How many weights ``build_network`` draws for a genotype: the stem's
-    3x3 kernel, then per stage the downsample block's conv1, conv2 and
-    shortcut (from stage 2 on) and each cell's conv edges."""
+    """How many weights ``build_network`` draws for a genotype."""
     per_cell = sum(_KERNEL_SIZE[op] ** 2 for op in genotype.ops if op in _KERNEL_SIZE)
     c = config.stem_channels
     total = 9 * c * config.input_shape[0] + config.cells_per_stage * per_cell * c * c
@@ -404,26 +391,31 @@ def forward_collect_codes(net: Network, batch: np.ndarray, stem: np.ndarray | No
     output too.
     """
     _check_batch(batch, net.config)
-    recorder = _CodeRecorder(batch.shape[0], count_relu_units(net))
+    recorder = _CodeRecorder(batch.shape[0], _relu_sites(net))
     net.forward(np.ascontiguousarray(batch, dtype=np.float32), recorder, stem)
     return recorder.codes()
 
 
-def count_relu_units(net: Network) -> int:
-    """Total ReLU unit count N_A from the genotype and config alone (no data).
-
-    Each conv edge leads with a ReLU over its stage's (C, H, W) map; each
-    downsample block has one before each of its two convs (the first at
-    the incoming size, the second at the halved one); the final ReLU
-    covers the last stage's map once.
-    """
-    conv_edges = sum(op in _KERNEL_SIZE for op in net.genotype.ops)
+def _relu_sites(net: Network):
+    """(units, multiplicity) of each ReLU site in forward order, from the
+    genotype and config alone: a cell node leading m conv edges has one
+    site of multiplicity m over its stage's (C, H, W) map, a downsample
+    block one before each conv (at the incoming size, then the halved
+    one), and the final ReLU one over the last stage's map."""
+    leads = Counter(EDGES[k][0] for k, op in enumerate(net.genotype.ops) if op in _KERNEL_SIZE)
     c = net.config.stem_channels
     _, h, w = net.config.input_shape
-    total = 0
     for stage in range(3):
         if stage > 0:
-            total += c * h * w + 2 * c * (h // 2) * (w // 2)
+            yield c * h * w, 1
             c, h, w = 2 * c, h // 2, w // 2
-        total += net.config.cells_per_stage * conv_edges * c * h * w
-    return total + c * h * w
+            yield c * h * w, 1
+        for _ in range(net.config.cells_per_stage):
+            for node in sorted(leads):
+                yield c * h * w, leads[node]
+    yield c * h * w, 1
+
+
+def count_relu_units(net: Network) -> int:
+    """N_A from the genotype and config alone: each site's units times its multiplicity."""
+    return sum(units * m for units, m in _relu_sites(net))

@@ -97,21 +97,26 @@ class ZeroDiagonal(ValueError):
 
 
 def hamming_kernel(codes: ActivationCodeMatrix) -> HammingKernel:
-    """K[i, j] = n_units - popcount(code_i XOR code_j), as float64.
+    """K[i, j] = n_units - popcount(code_i XOR code_j), as float64, each
+    word's bit count weighted by its site's multiplicity.
 
-    Works on the packed words directly: one XOR + bit count per row
-    pair, 64 code bits per word operation, a cache-sized block of row
-    pairs at a time.  Only the blocks from the diagonal on are computed,
-    each mirrored into the lower triangle, and large kernels split their
-    row blocks over the CPUs (see ``layers``); the entries are integers,
-    so every block, split and mirror is exact.
+    Per cache-sized block of row pairs: one XOR + bit count per packed
+    word and one matrix-vector product of the counts with the per-word
+    weights.  Only blocks from the diagonal on are computed, each
+    mirrored into the lower triangle; large kernels split their row
+    blocks over the CPUs (see ``layers``).  Pad bits are 0 in every row,
+    so they XOR to 0, and every partial sum of a pair's weighted counts
+    is an integer in [0, N_A]: exact in any summation order in float32,
+    which the product runs in while N_A < 2^24, and in float64 above.
     """
     words = codes.words
     n, n_words = words.shape
+    dtype = np.float32 if codes.n_units < 2 ** 24 else np.float64
+    weights = np.repeat(np.array([m for _, m in codes.sites], dtype), [-(-u // 64) for u, _ in codes.sites])
     out = np.empty((n, n), dtype=np.float64)
     # row pairs XORed per step, about half of one core's L2: a block of
     # rows (one row of long codes) against as many columns as fit.  Each
-    # part's step buffer is live while the kernel is, so it stays small.
+    # part's step buffers are live while the kernel is, so they stay small.
     step = max(1, _BLOCK_BYTES // 2 // max(1, 8 * n_words))
     r = max(1, min(n, step // max(1, n)))
     blocks = -(-n // r)
@@ -126,14 +131,14 @@ def hamming_kernel(codes: ActivationCodeMatrix) -> HammingKernel:
                 cols = max(1, step // (i1 - i))
                 for k in range(i, n, cols):
                     k1 = min(n, k + cols)
-                    xor = xor_buf[:(i1 - i) * (k1 - k) * n_words].reshape(i1 - i, k1 - k, n_words)
-                    np.bitwise_xor(words[i:i1, None], words[None, k:k1], out=xor)
-                    counts = np.bitwise_count(xor, out=count_buf[:xor.size].reshape(xor.shape))
-                    out[i:i1, k:k1] = codes.n_units - counts.sum(axis=2)
+                    xor = xor_buf[:(i1 - i) * (k1 - k)]
+                    np.bitwise_xor(words[i:i1, None], words[None, k:k1], out=xor.reshape(i1 - i, k1 - k, n_words))
+                    counts = np.bitwise_count(xor, out=count_buf[:len(xor)])
+                    out[i:i1, k:k1] = (codes.n_units - counts @ weights).reshape(i1 - i, k1 - k)
                 out[i1:, i:i1] = out[i:i1, i1:].T
 
     _split((blocks + 1) // 2, words.nbytes + out.nbytes, row_blocks,
-           lambda start, stop: (np.empty(step * n_words, np.uint64), np.empty(step * n_words, np.uint8)))
+           lambda start, stop: (np.empty((step, n_words), np.uint64), np.empty((step, n_words), dtype)))
     return HammingKernel(matrix=out, n_units=codes.n_units)
 
 
@@ -194,7 +199,9 @@ def make_scorer(config: NetworkConfig, batch: np.ndarray) -> Callable[[Genotype]
     weight stream, of which every genotype's is a prefix, and the stem's
     output for the batch.  It keeps each only while making and keeping
     it stays under ``layers._SPLIT_BYTES``, the size below which a layer
-    call runs on one core.  A larger piece holds its memory for the
+    call runs on one core: both at the desk preset at batch 128, the
+    stream alone at batch 1024 (whose stem conv splits), neither at the
+    full preset (6.1 and 8 MB).  A larger piece holds its memory for the
     scorer's life and gains little: keeping the desk stem at batch 1024
     (a 7 MB im2col) saves ~9 ms of a ~160 ms score, yet on a 2-vCPU VM
     it won only 2 of 4 paired desk-wide-batch runs, raised set-up time

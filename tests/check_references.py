@@ -22,8 +22,12 @@ score; this process compares the two streams one row at a time, so no
 codes are kept.  Per workload it prints the rows whose code bits differ,
 the code bits flipped, the rows whose status differs and the largest
 relative score drift among rows valid under both.  It exits 1 if any
-bit flipped or any status differs.  Both trees must lay out their codes
-alike: a row whose code matrices differ in shape is an error.
+bit flipped or any status differs.  A tree whose codes carry ``sites``
+(each site packed once, from a word boundary on, with its multiplicity
+m) streams each site's words m times over: the layout of a tree that
+writes each site m times in a row wherever every site fills whole
+words, as at every preset.  A row whose streamed code matrices differ in
+shape is an error.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from run import BLAS_ENV  # noqa: E402
 
 os.environ.update(BLAS_ENV)  # before NumPy loads BLAS, here and in the subprocesses
 
+import numpy as np  # noqa: E402
 from workloads import DEFAULT_SEED, WORKLOADS, check_score, load_reference  # noqa: E402
 
 
@@ -57,10 +62,23 @@ def check_workload(workload) -> tuple[int, int, int]:
     return len(stored), equal, within
 
 
+def repeated_sites(codes):
+    """The code words with each site's words repeated m times in a row,
+    for codes that carry ``sites``; the words as they are otherwise."""
+    if not hasattr(codes, "sites"):
+        return codes.words
+    columns, at = [], 0
+    for units, m in codes.sites:
+        span = -(-units // 64)
+        columns += [codes.words[:, at:at + span]] * m
+        at += span
+    return np.concatenate(columns, axis=1)
+
+
 def emit_codes(src: str, workload) -> None:
     """Write, for each reference row in order, one JSON line (arch,
-    status, value, code shape) and then the code words' bytes, scored by
-    the ``naswot`` under ``src``."""
+    status, value, code shape) and then the code words' bytes (see
+    ``repeated_sites``), scored by the ``naswot`` under ``src``."""
     sys.path.insert(0, src)
     from naswot import (NonFiniteActivation, Score, ScoreStatus, build_network, forward_collect_codes,
                         hamming_kernel, logdet_score, parse_arch, random_normal_batch)
@@ -76,12 +94,13 @@ def emit_codes(src: str, workload) -> None:
         if codes is None:
             score, shape = Score.invalid(ScoreStatus.NON_FINITE), None
         else:
-            score, shape = logdet_score(hamming_kernel(codes)), [*codes.words.shape, codes.n_units]
+            words = repeated_sites(codes)
+            score, shape = logdet_score(hamming_kernel(codes)), [*words.shape, codes.n_units]
         head = {"arch": arch, "status": score.status.value, "value": score.value if score.is_valid else None,
                 "shape": shape}
         out.write(json.dumps(head).encode() + b"\n")
         if codes is not None:
-            out.write(codes.words.tobytes())
+            out.write(words.tobytes())
         out.flush()
 
 

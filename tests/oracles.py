@@ -19,20 +19,35 @@ from numpy.lib.stride_tricks import sliding_window_view
 from naswot.network import ActivationCodeMatrix
 
 
+def codes_from_sites(sites) -> ActivationCodeMatrix:
+    """Pack (bits, multiplicity) pairs, each bits an (N, units) 0/1
+    array, into the library's code matrix: each site from a word
+    boundary on, its last word padded with 0 bits."""
+    words = []
+    for bits, _ in sites:
+        packed = np.packbits(np.asarray(bits, dtype=bool), axis=1)
+        words.append(np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))))
+    return ActivationCodeMatrix(words=np.ascontiguousarray(np.concatenate(words, axis=1)).view(np.uint64),
+                                sites=tuple((np.shape(bits)[1], m) for bits, m in sites))
+
+
 def codes_from_bits(bits) -> ActivationCodeMatrix:
-    """Pack an (N, n_units) 0/1 array into the library's code matrix."""
-    bits = np.asarray(bits, dtype=bool)
-    packed = np.packbits(bits, axis=1)
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return ActivationCodeMatrix(words=np.ascontiguousarray(packed).view(np.uint64), n_units=bits.shape[1])
+    """Pack an (N, n_units) 0/1 array into the library's code matrix:
+    one site of multiplicity 1."""
+    return codes_from_sites([(bits, 1)])
 
 
 def unpack_codes(codes: ActivationCodeMatrix) -> np.ndarray:
-    """Recover the (N, n_units) boolean matrix from packed codes."""
-    bits = np.unpackbits(codes.words.view(np.uint8), axis=1)
-    return bits[:, : codes.n_units].astype(bool)
+    """Recover the (N, n_units) boolean matrix from packed codes: each
+    site's bits without its last word's pad bits, m times over for a
+    site of multiplicity m."""
+    bits = np.unpackbits(codes.words.view(np.uint8), axis=1).astype(bool)
+    columns, at = [], 0
+    for units, m in codes.sites:
+        columns += [bits[:, at:at + units]] * m
+        at += -(-units // 64) * 64
+    assert at == bits.shape[1], "the sites do not fill the code words"
+    return np.concatenate(columns, axis=1)
 
 
 def kernel_per_bit(bits: np.ndarray) -> np.ndarray:

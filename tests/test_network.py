@@ -197,8 +197,9 @@ class TestCodeRecorder:
             forward_collect_codes(net, normal_batch(4, cfg.input_shape, 0))
 
     # a node leading m conv edges records its site once with times=m; the
-    # packed codes equal m separate records, at byte-aligned and unaligned
-    # starts and for sites that end inside a byte
+    # codes unpack to the same columns, in the same order, and give the
+    # same kernel as m separate records, after sites of 0, 3 and 8 units
+    # and for sites that end inside a byte and inside a word
     @pytest.mark.parametrize("lead", [0, 3, 8])
     @pytest.mark.parametrize("site", [(2, 2, 2), (3, 1, 3)])
     @pytest.mark.parametrize("times", [1, 2, 3])
@@ -207,8 +208,8 @@ class TestCodeRecorder:
         first = rng.standard_normal((6, lead, 1, 1), dtype=np.float32)
         x = rng.standard_normal((6, *site), dtype=np.float32)
         last = rng.standard_normal((6, 5, 1, 1), dtype=np.float32)
-        n_units = lead + times * x[0].size + 5
-        once, apart = _CodeRecorder(6, n_units), _CodeRecorder(6, n_units)
+        once = _CodeRecorder(6, [(lead, 1), (x[0].size, times), (5, 1)])
+        apart = _CodeRecorder(6, [(lead, 1), *[(x[0].size, 1)] * times, (5, 1)])
         once.record(first)
         once.record(x, times=times)
         once.record(last)
@@ -219,11 +220,36 @@ class TestCodeRecorder:
         want = ChannelMajorRecorder()
         for y in (first, x, last):
             want.record(y, times=times if y is x else 1)
-        assert np.array_equal(once.codes().words, apart.codes().words)
-        assert np.array_equal(sorted_columns(unpack_codes(once.codes())), sorted_columns(want.bits()))
+        once, apart = once.codes(), apart.codes()
+        assert once.n_units == apart.n_units == want.bits().shape[1]
+        assert np.array_equal(unpack_codes(once), unpack_codes(apart))
+        assert np.array_equal(hamming_kernel(once).matrix, hamming_kernel(apart).matrix)
+        assert np.array_equal(sorted_columns(unpack_codes(once)), sorted_columns(want.bits()))
+
+    # a site that ends inside a word leaves the rest of that word 0 in
+    # every row, so its pad bits XOR to 0 and never reach the kernel
+    @pytest.mark.parametrize("sizes", [[(1, 1), (65, 2), (8, 3)], [(63, 1), (64, 1), (127, 2)]],
+                             ids=["short", "near-word"])
+    def test_pad_bits_are_zero_in_every_row(self, sizes):
+        rng = np.random.default_rng(0)
+        recorder = _CodeRecorder(5, sizes)
+        for units, m in sizes:
+            # all positive but one input, so every site's bits are mostly 1
+            x = np.abs(rng.standard_normal((5, units, 1, 1), dtype=np.float32)) + 1
+            x[0] = -x[0]
+            recorder.record(x, times=m)
+        codes = recorder.codes()
+        bits = np.unpackbits(codes.words.view(np.uint8), axis=1).astype(bool)
+        at = 0
+        for units, _ in sizes:
+            span = -(-units // 64) * 64
+            assert bits[1:, at:at + units].all() and not bits[0, at:at + units].any()
+            assert not bits[:, at + units:at + span].any()
+            at += span
+        assert at == bits.shape[1]
 
     def test_repeated_site_past_the_unit_count_raises(self):
-        recorder = _CodeRecorder(2, 16)
+        recorder = _CodeRecorder(2, [(8, 2)])
         with pytest.raises(RuntimeError, match="more units"):
             recorder.record(np.ones((2, 2, 2, 2), dtype=np.float32), times=3)
 

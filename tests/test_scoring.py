@@ -22,7 +22,8 @@ from naswot.scoring import (
 from naswot.searchspace import Genotype, OpKind, as_generator, parse_arch, sample_uniform
 
 from make_golden import MIXED, TABLES
-from oracles import codes_from_bits, det_cofactor, kernel_per_bit, kernel_python_loops, logdet_lu, unpack_codes
+from oracles import (codes_from_bits, codes_from_sites, det_cofactor, kernel_per_bit, kernel_python_loops, logdet_lu,
+                     unpack_codes)
 
 EXAMPLE = "|nor_conv_3x3~0|+|none~0|skip_connect~1|+|avg_pool_3x3~0|nor_conv_1x1~1|skip_connect~2|"
 
@@ -85,6 +86,28 @@ class TestHammingKernel:
             perm = rng.permutation(bits.shape[1])
             permuted = codes_from_bits(bits[:, perm])
             assert np.array_equal(hamming_kernel(codes).matrix, hamming_kernel(permuted).matrix)
+
+    def test_weighted_sites_match_per_bit_oracle(self):
+        # sites of multiplicity 1-3, most ending inside a word: each word's
+        # count weighted by its site's multiplicity, pad bits left out
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(2, 16))
+            codes = codes_from_sites([(rng.integers(0, 2, size=(n, int(rng.integers(1, 150)))), int(rng.integers(1, 4)))
+                                      for _ in range(int(rng.integers(1, 6)))])
+            assert np.array_equal(hamming_kernel(codes).matrix, kernel_per_bit(unpack_codes(codes)))
+
+    def test_weighted_disagreement_above_2_to_the_24_is_exact(self):
+        # one unit of multiplicity 2^24 + 1 and 63 of multiplicity 1: the
+        # codes disagree on the heavy unit and on 2 light ones, 2^24 + 3
+        # weighted bits, an odd integer that float32 cannot hold
+        heavy, light = np.array([[0], [1]]), np.zeros((2, 63), dtype=int)
+        light[1, [5, 40]] = 1
+        codes = codes_from_sites([(heavy, 2 ** 24 + 1), (light, 1)])
+        n_units = 2 ** 24 + 64
+        assert codes.n_units == n_units
+        want = np.array([[n_units, n_units - (2 ** 24 + 3)], [n_units - (2 ** 24 + 3), n_units]], dtype=np.float64)
+        assert np.array_equal(hamming_kernel(codes).matrix, want)
 
 
 class TestLogdet:

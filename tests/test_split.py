@@ -256,8 +256,9 @@ class TestForwardSplit:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sites_ending_inside_a_byte(self, monkeypatch, workers):
-        # one-channel cells with 4-unit stage-3 sites: the recorder's
-        # pending path, and one-channel batch-norms
+        # one-channel cells with 4-unit stage-3 sites, which end inside
+        # a byte and leave pad bits in their word, and one-channel
+        # batch-norms
         config = NetworkConfig.desk(stem_channels=1, input_shape=(3, 4, 4))
         batch = random_normal_batch((5, *config.input_shape), 0)
         want = codes_at(monkeypatch, 1, 0, MIXED[0], config, batch)
@@ -318,7 +319,7 @@ class TestErrorsSplit:
         split_into(monkeypatch, 2)
         x = np.ones((6, 4, 4, 4), dtype=np.float32)
         x[5, 3, 2, 1] = bad
-        recorder = _CodeRecorder(6, 64)
+        recorder = _CodeRecorder(6, [(64, 1)])
         with pytest.raises(NonFiniteActivation):
             recorder.record(x)
 
