@@ -39,7 +39,7 @@ batch = random_normal_batch((16, 3, 8, 8), seed=0)
 codes = forward_collect_codes(net, batch)
 kernel = hamming_kernel(codes)
 print("kernel corner (agreement counts):")
-print(kernel.matrix[:4, :4])
+print(kernel[:4, :4])
 
 score = logdet_score(kernel)
 print("score:", score.value, f"({score.status.name})")

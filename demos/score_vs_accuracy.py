@@ -41,13 +41,10 @@ print(f"table covers {len(table)} architectures")
 
 config = NetworkConfig.desk()
 batch = random_normal_batch((16, 3, 8, 8), seed=0)
-scorer = make_scorer(config, batch)
-
 report = correlate_space(
     table,
-    lambda genotype, batch_: scorer(genotype),
+    make_scorer(config, batch),
     sample_n=150,
-    batch=batch,
     rng=np.random.default_rng(7),
 )
 

@@ -32,7 +32,6 @@ from .network import (
     forward_collect_codes,
 )
 from .scoring import (
-    HammingKernel,
     Score,
     ScoreStatus,
     ZeroDiagonal,
@@ -89,7 +88,6 @@ __all__ = [
     "EvaluatorMiss",
     "EvaluatorTable",
     "Genotype",
-    "HammingKernel",
     "MalformedArchString",
     "MissingFile",
     "NUM_EDGES",

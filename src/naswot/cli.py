@@ -28,7 +28,7 @@ import numpy as np
 
 from .benchdata import EvaluatorMiss, EvaluatorTable, load_benchmark_csv, load_cifar10_batch
 from .network import Network, NetworkConfig, NonFiniteActivation, build_network, forward_collect_codes
-from .scoring import HammingKernel, ScoreStatus, Score, hamming_kernel, logdet_score, make_scorer, normalize_kernel
+from .scoring import ScoreStatus, Score, hamming_kernel, logdet_score, make_scorer, normalize_kernel
 from .search import SearchResult, area_search, naswot_search, rea_search
 from .searchspace import as_generator, parse_arch, sample_uniform
 from .stats import ABLATION_MODES, ablation_run, correlate_space, normal_batch_factory, normalize_by_min
@@ -204,7 +204,10 @@ def _resolve_budget(settings: dict) -> int:
             raise ValueError(f"--seconds must be a positive finite time budget, got {seconds!r}")
         if cost is None or not 0 < cost < math.inf:
             raise ValueError("--seconds needs a positive --eval-cost (assumed seconds per evaluation)")
-        return max(settings["pop"], int(seconds / cost))
+        evaluations = seconds / cost
+        if not math.isfinite(evaluations):
+            raise ValueError(f"--seconds / --eval-cost is too large a budget: {seconds!r} / {cost!r}")
+        return max(settings["pop"], int(evaluations))
     return settings["budget"]
 
 
@@ -311,8 +314,8 @@ def _cmd_score(settings: dict) -> int:
     return 0
 
 
-def _dump_kernel_csv(settings: dict, kernel: HammingKernel) -> None:
-    matrix = kernel.matrix if settings["dump_kernel"] == "raw" else normalize_kernel(kernel)
+def _dump_kernel_csv(settings: dict, kernel: np.ndarray) -> None:
+    matrix = kernel if settings["dump_kernel"] == "raw" else normalize_kernel(kernel)
     _write_csv(settings, None, ([repr(float(v)) for v in row] for row in matrix))
 
 
@@ -371,9 +374,8 @@ def _cmd_area(settings: dict) -> int:
 def _cmd_correlate(settings: dict) -> int:
     table = _load_table(settings)
     config, batch = _config_and_batch(settings)
-    scorer = make_scorer(config, batch)
-    report = correlate_space(table, lambda genotype, _: scorer(genotype), settings["n"], batch,
-                             settings["_arch_seed"], metric=settings["metric"])
+    report = correlate_space(table, make_scorer(config, batch), settings["n"], settings["_arch_seed"],
+                             metric=settings["metric"])
     print(f"tau {_fmt6(report.tau)}")
     print(f"n {report.n}")
     print(f"excluded {report.excluded_count}")

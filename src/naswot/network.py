@@ -82,6 +82,12 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if self.stem_channels < 1 or self.cells_per_stage < 1:
             raise ValueError("channel and cell counts must be positive")
+        # stored as a tuple of three ints, as Genotype stores its ops: the
+        # config then hashes, and a batch's shape[1:] compares equal to it
+        shape = tuple(self.input_shape) if np.iterable(self.input_shape) else ()
+        if len(shape) != 3 or not all(isinstance(d, (int, np.integer)) for d in shape):
+            raise ValueError(f"input_shape must be three ints (channels, height, width), got {self.input_shape!r}")
+        object.__setattr__(self, "input_shape", tuple(int(d) for d in shape))
         c, h, w = self.input_shape
         if c < 1 or h < 1 or w < 1:
             raise ValueError(f"bad input shape {self.input_shape}")

@@ -7,7 +7,8 @@ is ln det K.  K is positive semidefinite (it is C C^T + (1-C)(1-C)^T
 for the 0/1 code matrix C), so the determinant is non-negative; it is
 zero exactly when two inputs share a code or the codes are otherwise
 linearly dependent, and such batches are flagged SINGULAR rather than
-given a numeric score.
+given a numeric score.  K is a plain (N, N) float64 array: the diagonal
+holds N_A, so nothing else travels with it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .searchspace import Genotype, OpKind
 __all__ = [
     "ScoreStatus",
     "Score",
-    "HammingKernel",
     "ZeroDiagonal",
     "hamming_kernel",
     "normalize_kernel",
@@ -84,21 +84,13 @@ class Score:
         return hash(self._key())
 
 
-@dataclass(frozen=True)
-class HammingKernel:
-    """The N x N agreement-count kernel of a code matrix, with N_A."""
-
-    matrix: np.ndarray  # (N, N) float64
-    n_units: int
-
-
 class ZeroDiagonal(ValueError):
     """Kernel normalization hit a zero diagonal entry."""
 
 
-def hamming_kernel(codes: ActivationCodeMatrix) -> HammingKernel:
-    """K[i, j] = n_units - popcount(code_i XOR code_j), as float64, each
-    word's bit count weighted by its site's multiplicity.
+def hamming_kernel(codes: ActivationCodeMatrix) -> np.ndarray:
+    """The (N, N) float64 matrix K[i, j] = n_units - popcount(code_i XOR
+    code_j), each word's bit count weighted by its site's multiplicity.
 
     Per cache-sized block of row pairs: one XOR + bit count per packed
     word and one matrix-vector product of the counts with the per-word
@@ -139,19 +131,19 @@ def hamming_kernel(codes: ActivationCodeMatrix) -> HammingKernel:
 
     _split((blocks + 1) // 2, words.nbytes + out.nbytes, row_blocks,
            lambda start, stop: (np.empty((step, n_words), np.uint64), np.empty((step, n_words), dtype)))
-    return HammingKernel(matrix=out, n_units=codes.n_units)
+    return out
 
 
-def normalize_kernel(kernel: HammingKernel) -> np.ndarray:
+def normalize_kernel(kernel: np.ndarray) -> np.ndarray:
     """Rescale to unit diagonal: K[i,j] / sqrt(K[i,i] K[j,j])."""
-    diag = np.diag(kernel.matrix)
+    diag = np.diag(kernel)
     if np.any(diag == 0):
         raise ZeroDiagonal("kernel has a zero diagonal entry; cannot normalize")
     scale = np.sqrt(np.outer(diag, diag))
-    return kernel.matrix / scale
+    return kernel / scale
 
 
-def logdet_score(kernel: Union[HammingKernel, np.ndarray]) -> Score:
+def logdet_score(kernel: np.ndarray) -> Score:
     """ln det K via Cholesky: 2 * sum(log diag(L)).
 
     A kernel that is numerically singular (Cholesky fails, or a factor
@@ -159,7 +151,7 @@ def logdet_score(kernel: Union[HammingKernel, np.ndarray]) -> Score:
     kernel entries yield NON_FINITE.  An input that is not a square
     matrix raises ValueError.
     """
-    matrix = kernel.matrix if isinstance(kernel, HammingKernel) else np.asarray(kernel, dtype=np.float64)
+    matrix = np.asarray(kernel, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"kernel must be a square matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():

@@ -2,18 +2,19 @@
 
 kendall_tau is the tie-corrected (tau-b) statistic, computed with
 integer concordance counts so it matches a pair-enumeration oracle
-bit for bit.  correlate_space joins untrained scores against a trained
-accuracy table.  ablation_run rescore one genotype while varying a
-single factor (data batch, input distribution, weight init, or batch
-size); normalize_by_min rescales grouped scores for cross-batch-size
-comparison.
+bit for bit.  correlate_space joins the scores of a genotype -> Score
+scorer (the one ``make_scorer`` returns and the searches take) against
+a trained accuracy table.  ablation_run rescores one genotype while
+varying a single factor (data batch, input distribution, weight init,
+or batch size); normalize_by_min rescales its Score groups for
+cross-batch-size comparison.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -127,9 +128,8 @@ class CorrelationReport:
 
 def correlate_space(
     table: EvaluatorTable,
-    scorer: Callable[[Genotype, np.ndarray], Score],
+    scorer: Callable[[Genotype], Score],
     sample_n: int,
-    batch: np.ndarray,
     rng,
     metric: str = "val_acc",
 ) -> CorrelationReport:
@@ -137,7 +137,7 @@ def correlate_space(
 
     Samples ``sample_n`` architectures from the table without
     replacement (over the sorted key domain, so the draw is a pure
-    function of the seed), scores each with ``scorer(genotype, batch)``,
+    function of the seed), scores each with ``scorer(genotype)``,
     and returns Kendall's tau between valid scores and the chosen
     accuracy metric.
     """
@@ -152,7 +152,7 @@ def correlate_space(
     for idx in picks:
         arch = domain[int(idx)]
         genotype = parse_arch(arch)
-        rows.append(CorrelationRow(arch=arch, score=scorer(genotype, batch),
+        rows.append(CorrelationRow(arch=arch, score=scorer(genotype),
                                    accuracy=accuracy_of(genotype)))
     valid = [(r.score.value, r.accuracy) for r in rows if r.score.is_valid]
     tau = kendall_tau([v for v, _ in valid], [a for _, a in valid])
@@ -209,7 +209,7 @@ def ablation_run(
 
 
 def normalize_by_min(
-    groups: Mapping[str, Sequence[Union[Score, float]]],
+    groups: Mapping[str, Sequence[Score]],
 ) -> dict[str, list[Optional[float]]]:
     """Divide each group's scores by the group's minimum valid score.
 
@@ -220,17 +220,10 @@ def normalize_by_min(
     for label, scores in groups.items():
         if len(scores) == 0:
             raise EmptyGroup(f"group {label!r} is empty")
-        values = [_score_value(s) for s in scores]
-        finite = [v for v in values if v is not None]
-        if not finite:
+        values = [s.value if s.is_valid else None for s in scores]
+        valid = [v for v in values if v is not None]
+        if not valid:
             raise AllSingularGroup(f"group {label!r} has no valid score")
-        low = min(finite)
+        low = min(valid)
         out[label] = [None if v is None else v / low for v in values]
     return out
-
-
-def _score_value(score: Union[Score, float]) -> Optional[float]:
-    if isinstance(score, Score):
-        return score.value if score.is_valid else None
-    value = float(score)
-    return value if math.isfinite(value) else None

@@ -6,17 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make oracles importable
 
 from naswot import NetworkConfig, enumerate_all
-from naswot.searchspace import OpKind
-
-
-def synthetic_accuracy(genotype) -> float:
-    """A hill-climbable accuracy surrogate: rewards convolution edges."""
-    ops = genotype.ops
-    return (
-        10.0 * sum(op is OpKind.CONV_3X3 for op in ops)
-        + 2.0 * sum(op is OpKind.CONV_1X1 for op in ops)
-        + 1.0 * sum(op is OpKind.IDENTITY for op in ops)
-    )
+from oracles import synthetic_accuracy
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,9 @@ vectorized conv, pool and batch-norm, which the faster ones must match
 bit for bit, the earlier code recorder, whose kernels the packing one
 must match, the earlier per-edge cell, whose kernels the fused one must
 match, and the earlier per-kernel weight draw, which the slices of one
-weight stream must match.
+weight stream must match.  ``synthetic_accuracy`` is no oracle: it is
+the accuracy surrogate that the search tests and the table fixtures
+share.
 """
 
 import math
@@ -17,6 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from naswot.network import ActivationCodeMatrix
+from naswot.searchspace import OpKind
 
 
 def codes_from_sites(sites) -> ActivationCodeMatrix:
@@ -220,8 +223,6 @@ def kernels_in_draw_order(genotype, config) -> tuple:
     build order: the stem conv, then per stage the downsample block's
     three convs (from stage 2 on) and each cell's conv edges in EDGES
     order.  The cells' kernels are the ones the fused cells stack."""
-    from naswot.searchspace import OpKind
-
     rng = np.random.default_rng(config.init_seed)
 
     def draw(c_out, c_in, k):
@@ -249,7 +250,7 @@ def per_edge_cell_forward(ops, kernels: dict, epsilon: float, x: np.ndarray, rec
     and float64-temporaries batch-norm, every zero edge a zero tensor
     shaped like its source, and each node the left-to-right sum of its
     inputs in EDGES order."""
-    from naswot.searchspace import EDGES, OpKind
+    from naswot.searchspace import EDGES
 
     states = {0: x}
     for dest in (1, 2, 3):
@@ -272,3 +273,13 @@ def per_edge_cell_forward(ops, kernels: dict, epsilon: float, x: np.ndarray, rec
             acc = y if acc is None else acc + y
         states[dest] = acc
     return states[3]
+
+
+def synthetic_accuracy(genotype) -> float:
+    """A hill-climbable accuracy surrogate: rewards convolution edges."""
+    ops = genotype.ops
+    return (
+        10.0 * sum(op is OpKind.CONV_3X3 for op in ops)
+        + 2.0 * sum(op is OpKind.CONV_1X1 for op in ops)
+        + 1.0 * sum(op is OpKind.IDENTITY for op in ops)
+    )

@@ -220,7 +220,8 @@ class TestEvolutionCommands:
         assert len(rows) == 10  # header + floor(90/10) evaluations
 
     @pytest.mark.parametrize("command", ["rea", "area"])
-    @pytest.mark.parametrize("seconds,cost", [("-5", "1"), ("0", "1"), ("nan", "1"), ("inf", "1"), ("90", "inf")])
+    @pytest.mark.parametrize("seconds,cost", [("-5", "1"), ("0", "1"), ("nan", "1"), ("inf", "1"), ("90", "inf"),
+                                              ("1e300", "1e-300")])
     def test_bad_time_budget_fails_with_one_error_line(self, capsys, tmp_path, full_bench_csv,
                                                        command, seconds, cost):
         log = tmp_path / "log.csv"
@@ -396,6 +397,14 @@ class TestConfigResolution:
         code, out, _ = run(capsys, "score", CONV_ARCH, "--config", str(cfg))
         assert code == 0
         assert "status VALID" in out
+
+    def test_two_entry_input_shape_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset=desk\nbatch_size=8\ninput_shape=3x8\n", encoding="utf-8")
+        code, out, err = run(capsys, "score", CONV_ARCH, "--config", str(cfg))
+        assert code == 1
+        assert err == "error: ValueError: input_shape must be three ints (channels, height, width), got (3, 8)\n"
+        assert out == ""
 
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_bn_epsilon_rejected(self, capsys, tmp_path, epsilon):

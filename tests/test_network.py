@@ -57,6 +57,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             NetworkConfig.desk(**kwargs)
 
+    def test_input_shape_stored_as_a_tuple_of_ints(self):
+        # a list or numpy ints make the same config as the tuple: it
+        # hashes, and a batch of that shape scores
+        for shape in ([3, 8, 8], (np.int64(3), np.int32(8), 8)):
+            cfg = NetworkConfig.desk(input_shape=shape)
+            assert cfg == NetworkConfig.desk() and hash(cfg) == hash(NetworkConfig.desk())
+            assert type(cfg.input_shape) is tuple and all(type(d) is int for d in cfg.input_shape)
+            batch = normal_batch(4, (3, 8, 8), 0)
+            assert forward_collect_codes(build_network(parse_arch(EXAMPLE), cfg), batch).n_inputs == 4
+
+    @pytest.mark.parametrize("shape", [(3, 8.0, 8), [3, 8], (3, 8, 8, 1)], ids=["float", "two", "four"])
+    def test_input_shape_not_three_ints_rejected(self, shape):
+        with pytest.raises(ValueError, match="input_shape must be three ints"):
+            NetworkConfig.desk(input_shape=shape)
+
 
 class TestCodeMatrix:
     def test_pack_unpack_roundtrip(self):
@@ -177,8 +192,8 @@ class TestCodeRecorder:
         want = oracle.bits()
         codes = forward_collect_codes(net, batch)
         assert codes.n_units == want.shape[1]
-        got = hamming_kernel(codes).matrix
-        assert np.array_equal(got, hamming_kernel(codes_from_bits(want)).matrix)
+        got = hamming_kernel(codes)
+        assert np.array_equal(got, hamming_kernel(codes_from_bits(want)))
         # and the same columns, counted with multiplicity
         assert np.array_equal(sorted_columns(unpack_codes(codes)), sorted_columns(want))
 
@@ -223,7 +238,7 @@ class TestCodeRecorder:
         once, apart = once.codes(), apart.codes()
         assert once.n_units == apart.n_units == want.bits().shape[1]
         assert np.array_equal(unpack_codes(once), unpack_codes(apart))
-        assert np.array_equal(hamming_kernel(once).matrix, hamming_kernel(apart).matrix)
+        assert np.array_equal(hamming_kernel(once), hamming_kernel(apart))
         assert np.array_equal(sorted_columns(unpack_codes(once)), sorted_columns(want.bits()))
 
     # a site that ends inside a word leaves the rest of that word 0 in
@@ -305,8 +320,7 @@ class TestFusedCell:
         per_edge_forward(net, batch, oracle)
         want = oracle.bits()
         codes = forward_collect_codes(net, batch)
-        assert np.array_equal(hamming_kernel(codes).matrix,
-                              hamming_kernel(codes_from_bits(want)).matrix)
+        assert np.array_equal(hamming_kernel(codes), hamming_kernel(codes_from_bits(want)))
         assert np.array_equal(sorted_columns(unpack_codes(codes)), sorted_columns(want))
 
     # values and memory layout of a cell's output: the layout sets the

@@ -9,7 +9,6 @@ import naswot.network
 from naswot.benchdata import random_normal_batch
 from naswot.network import ActivationCodeMatrix, NetworkConfig, build_network, forward_collect_codes
 from naswot.scoring import (
-    HammingKernel,
     Score,
     ScoreStatus,
     ZeroDiagonal,
@@ -36,24 +35,26 @@ def random_codes(rng, n=None, n_units=None) -> ActivationCodeMatrix:
 
 class TestHammingKernel:
     def test_identical_codes(self):
-        k = hamming_kernel(codes_from_bits([[1, 0, 1, 0], [1, 0, 1, 0]]))
-        assert np.array_equal(k.matrix, [[4, 4], [4, 4]])
-        assert k.n_units == 4
+        codes = codes_from_bits([[1, 0, 1, 0], [1, 0, 1, 0]])
+        k = hamming_kernel(codes)
+        assert type(k) is np.ndarray and k.dtype == np.float64
+        assert np.array_equal(k, [[4, 4], [4, 4]])
+        assert codes.n_units == 4
 
     def test_complementary_codes(self):
         k = hamming_kernel(codes_from_bits([[0, 0, 0, 0], [1, 1, 1, 1]]))
-        assert np.array_equal(k.matrix, [[4, 0], [0, 4]])
+        assert np.array_equal(k, [[4, 0], [0, 4]])
 
     def test_three_code_fixture(self):
         k = hamming_kernel(codes_from_bits([[1, 0, 1, 0], [1, 1, 1, 0], [0, 0, 1, 0]]))
-        assert np.array_equal(k.matrix, [[4, 3, 3], [3, 4, 2], [3, 2, 4]])
+        assert np.array_equal(k, [[4, 3, 3], [3, 4, 2], [3, 2, 4]])
 
     def test_matches_per_bit_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             codes = random_codes(rng)
             bits = unpack_codes(codes)
-            assert np.array_equal(hamming_kernel(codes).matrix, kernel_per_bit(bits))
+            assert np.array_equal(hamming_kernel(codes), kernel_per_bit(bits))
 
     def test_oracle_agrees_with_python_loops_on_tiny_codes(self):
         rng = np.random.default_rng(1)
@@ -64,7 +65,7 @@ class TestHammingKernel:
         rng = np.random.default_rng(2)
         for _ in range(50):
             codes = random_codes(rng)
-            k = hamming_kernel(codes).matrix
+            k = hamming_kernel(codes)
             assert np.array_equal(k, k.T)
             assert np.all(np.diag(k) == codes.n_units)
             assert k.min() >= 0 and k.max() <= codes.n_units
@@ -76,7 +77,7 @@ class TestHammingKernel:
             bits = unpack_codes(random_codes(rng)).astype(np.int64)
             gram = bits @ bits.T + (1 - bits) @ (1 - bits).T
             k = hamming_kernel(codes_from_bits(bits))
-            assert np.array_equal(k.matrix, gram)
+            assert np.array_equal(k, gram)
 
     def test_column_permutation_leaves_kernel_unchanged(self):
         rng = np.random.default_rng(4)
@@ -85,7 +86,7 @@ class TestHammingKernel:
             bits = unpack_codes(codes)
             perm = rng.permutation(bits.shape[1])
             permuted = codes_from_bits(bits[:, perm])
-            assert np.array_equal(hamming_kernel(codes).matrix, hamming_kernel(permuted).matrix)
+            assert np.array_equal(hamming_kernel(codes), hamming_kernel(permuted))
 
     def test_weighted_sites_match_per_bit_oracle(self):
         # sites of multiplicity 1-3, most ending inside a word: each word's
@@ -95,7 +96,7 @@ class TestHammingKernel:
             n = int(rng.integers(2, 16))
             codes = codes_from_sites([(rng.integers(0, 2, size=(n, int(rng.integers(1, 150)))), int(rng.integers(1, 4)))
                                       for _ in range(int(rng.integers(1, 6)))])
-            assert np.array_equal(hamming_kernel(codes).matrix, kernel_per_bit(unpack_codes(codes)))
+            assert np.array_equal(hamming_kernel(codes), kernel_per_bit(unpack_codes(codes)))
 
     def test_weighted_disagreement_above_2_to_the_24_is_exact(self):
         # one unit of multiplicity 2^24 + 1 and 63 of multiplicity 1: the
@@ -107,7 +108,7 @@ class TestHammingKernel:
         n_units = 2 ** 24 + 64
         assert codes.n_units == n_units
         want = np.array([[n_units, n_units - (2 ** 24 + 3)], [n_units - (2 ** 24 + 3), n_units]], dtype=np.float64)
-        assert np.array_equal(hamming_kernel(codes).matrix, want)
+        assert np.array_equal(hamming_kernel(codes), want)
 
 
 class TestLogdet:
@@ -146,10 +147,6 @@ class TestLogdet:
             matrix = a @ a.T + n * np.eye(n)
             assert math.isclose(math.log(det_cofactor(matrix)), logdet_lu(matrix), rel_tol=1e-8)
 
-    def test_accepts_kernel_wrapper(self):
-        kernel = HammingKernel(matrix=np.diag([2.0, 3.0]), n_units=3)
-        assert math.isclose(logdet_score(kernel).value, math.log(6.0), rel_tol=1e-12)
-
     def test_non_finite_matrix_flagged(self):
         matrix = np.array([[np.nan, 0.0], [0.0, 1.0]])
         assert logdet_score(matrix).status is ScoreStatus.NON_FINITE
@@ -170,22 +167,22 @@ class TestNormalize:
         for _ in range(20):
             k = hamming_kernel(random_codes(rng))
             normalized = normalize_kernel(k)
-            assert np.array_equal(np.diag(normalized), np.ones(k.matrix.shape[0]))
+            assert np.array_equal(np.diag(normalized), np.ones(k.shape[0]))
             assert np.array_equal(normalized, normalized.T)
 
     def test_diagonal_fixture(self):
-        k = HammingKernel(matrix=np.array([[4.0, 0.0], [0.0, 4.0]]), n_units=4)
+        k = np.array([[4.0, 0.0], [0.0, 4.0]])
         assert np.array_equal(normalize_kernel(k), np.eye(2))
 
     def test_three_code_fixture_off_diagonals(self):
-        k = HammingKernel(matrix=np.array([[4.0, 3, 3], [3, 4, 2], [3, 2, 4]]), n_units=4)
+        k = np.array([[4.0, 3, 3], [3, 4, 2], [3, 2, 4]])
         normalized = normalize_kernel(k)
         np.testing.assert_allclose(normalized[0, 1], 0.75)
         np.testing.assert_allclose(normalized[0, 2], 0.75)
         np.testing.assert_allclose(normalized[1, 2], 0.5)
 
     def test_zero_diagonal_rejected(self):
-        k = HammingKernel(matrix=np.array([[0.0, 0.0], [0.0, 4.0]]), n_units=4)
+        k = np.array([[0.0, 0.0], [0.0, 4.0]])
         with pytest.raises(ZeroDiagonal):
             normalize_kernel(k)
 

@@ -5,7 +5,7 @@ from naswot.scoring import Score, ScoreStatus
 from naswot.search import area_search, naswot_search, rea_search
 from naswot.searchspace import Genotype, OpKind, enumerate_all, sample_uniform
 
-from conftest import synthetic_accuracy
+from oracles import synthetic_accuracy
 
 
 def synthetic_score(genotype) -> Score:

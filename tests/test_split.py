@@ -231,7 +231,7 @@ class TestLayersSplit:
         want = np.array([[np.sum(a != b) for b in unpack_codes(codes)] for a in unpack_codes(codes)])
         split_into(monkeypatch, workers)
         monkeypatch.setattr(naswot.scoring, "_BLOCK_BYTES", codes.words[0].nbytes * pairs_per_step(n))
-        assert np.array_equal(hamming_kernel(codes).matrix, codes.n_units - want)
+        assert np.array_equal(hamming_kernel(codes), codes.n_units - want)
 
 
 class TestForwardSplit:

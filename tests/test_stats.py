@@ -108,7 +108,7 @@ class TestCorrelateSpace:
             str(g): score_network(g, self.cfg, self.batch) for g in self.genotypes
         }
 
-    def scorer(self, genotype, batch):
+    def scorer(self, genotype):
         return self.scores[str(genotype)]
 
     def valid_values(self):
@@ -118,7 +118,7 @@ class TestCorrelateSpace:
         values = self.valid_values()
         table = make_table([g for g in self.genotypes if str(g) in values],
                            [min(max(v / 10, 0), 100) for v in values.values()])
-        report = correlate_space(table, self.scorer, len(table), self.batch, 5)
+        report = correlate_space(table, self.scorer, len(table), 5)
         assert report.tau == 1.0
         assert report.excluded_count == 0
         assert report.n == len(table)
@@ -127,15 +127,15 @@ class TestCorrelateSpace:
         values = self.valid_values()
         table = make_table([g for g in self.genotypes if str(g) in values],
                            [min(max(50 - v / 10, 0), 100) for v in values.values()])
-        report = correlate_space(table, self.scorer, len(table), self.batch, 5)
+        report = correlate_space(table, self.scorer, len(table), 5)
         assert report.tau == -1.0
 
     def test_deterministic_given_seed(self):
         values = self.valid_values()
         table = make_table([g for g in self.genotypes if str(g) in values],
                            list(np.linspace(10, 90, len(values))))
-        a = correlate_space(table, self.scorer, 5, self.batch, 9)
-        b = correlate_space(table, self.scorer, 5, self.batch, 9)
+        a = correlate_space(table, self.scorer, 5, 9)
+        b = correlate_space(table, self.scorer, 5, 9)
         assert [r.arch for r in a.rows] == [r.arch for r in b.rows]
         assert a.tau == b.tau
 
@@ -143,12 +143,12 @@ class TestCorrelateSpace:
         genotypes = self.genotypes[:4] + [Genotype.uniform(OpKind.ZEROISE)]
         table = make_table(genotypes, [10.0, 20.0, 30.0, 40.0, 50.0])
 
-        def scorer(genotype, batch):
+        def scorer(genotype):
             if all(op is OpKind.ZEROISE for op in genotype.ops):
                 return Score.invalid(ScoreStatus.SINGULAR)
             return Score(float(sum(genotype.ops)))
 
-        report = correlate_space(table, scorer, 5, self.batch, 2)
+        report = correlate_space(table, scorer, 5, 2)
         assert report.n == 5
         assert report.excluded_count == 1
         assert len([r for r in report.rows if r.score.is_valid]) == 4
@@ -156,9 +156,9 @@ class TestCorrelateSpace:
     def test_sample_n_validated(self):
         table = make_table(self.genotypes[:3], [10.0, 20.0, 30.0])
         with pytest.raises(ValueError):
-            correlate_space(table, self.scorer, 4, self.batch, 0)
+            correlate_space(table, self.scorer, 4, 0)
         with pytest.raises(ValueError):
-            correlate_space(table, self.scorer, 0, self.batch, 0)
+            correlate_space(table, self.scorer, 0, 0)
 
 
 class TestAblationRun:
@@ -206,17 +206,17 @@ class TestAblationRun:
 
 class TestNormalizeByMin:
     def test_divides_by_group_minimum(self):
-        assert normalize_by_min({"g": [2.0, 4.0]}) == {"g": [1.0, 2.0]}
+        assert normalize_by_min({"g": [Score(2.0), Score(4.0)]}) == {"g": [1.0, 2.0]}
 
     def test_single_element_group(self):
-        assert normalize_by_min({"g": [3.5]}) == {"g": [1.0]}
+        assert normalize_by_min({"g": [Score(3.5)]}) == {"g": [1.0]}
 
     def test_groups_normalize_independently(self):
-        groups = {"a": [2.0, 6.0], "b": [10.0, 5.0]}
+        groups = {"a": [Score(2.0), Score(6.0)], "b": [Score(10.0), Score(5.0)]}
         got = normalize_by_min(groups)
         for label, scores in groups.items():
-            low = min(scores)
-            assert got[label] == [v / low for v in scores]
+            low = min(s.value for s in scores)
+            assert got[label] == [s.value / low for s in scores]
 
     def test_score_objects_and_invalid_entries(self):
         groups = {"g": [Score(4.0), Score.invalid(ScoreStatus.SINGULAR), Score(2.0)]}
