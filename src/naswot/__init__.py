@@ -20,7 +20,6 @@ from .benchdata import (
     load_benchmark_csv,
     load_cifar10_batch,
     random_normal_batch,
-    write_benchmark_csv,
 )
 from .network import (
     ActivationCodeMatrix,
@@ -125,5 +124,4 @@ __all__ = [
     "rea_search",
     "sample_uniform",
     "score_network",
-    "write_benchmark_csv",
 ]

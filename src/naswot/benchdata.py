@@ -30,7 +30,6 @@ __all__ = [
     "CIFAR10_MEAN",
     "CIFAR10_STD",
     "load_benchmark_csv",
-    "write_benchmark_csv",
     "load_cifar10_batch",
     "random_normal_batch",
 ]
@@ -178,17 +177,6 @@ def load_benchmark_csv(path: Union[str, Path], dataset: Optional[str] = None) ->
             raise ParseError(f"file mixes datasets {sorted(seen_tags)}; pass dataset= to select one")
         dataset = next(iter(seen_tags), "cifar10")
     return EvaluatorTable(records=records, dataset=dataset)
-
-
-def write_benchmark_csv(table: EvaluatorTable, path: Union[str, Path]) -> None:
-    """Write a table back out; load_benchmark_csv inverts this exactly."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(BENCH_CSV_HEADER)
-        for arch in sorted(table.records):
-            rec = table.records[arch]
-            test = "" if rec.test_acc is None else repr(rec.test_acc)
-            writer.writerow([rec.arch, rec.dataset, repr(rec.val_acc), test])
 
 
 def _cifar_files(path: Path) -> list[Path]:

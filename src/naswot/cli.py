@@ -144,6 +144,8 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
 
     # one master seed, three independent streams: architecture
     # sampling, weight init, data sampling
+    if settings["seed"] < 0:
+        raise ValueError(f"seed must be an int >= 0, got {settings['seed']}")
     children = np.random.SeedSequence(settings["seed"]).spawn(3)
     arch_seed, init_seed, data_seed = (int(c.generate_state(1)[0]) for c in children)
     settings.update(_arch_seed=arch_seed, _data_seed=data_seed)

@@ -85,9 +85,10 @@ each other part, so no thread outlives the call and calls from several
 threads share nothing.  The code recorder and the Hamming kernel use
 the same helper.  Every part runs the same operations a one-part call
 runs, on its own rows of buffers the caller made: runs of images for
-``conv2d`` (blocked as above inside each part), both pools, ``relu``,
-``add``, the code recorder and batch-norm's third pass; pairs of row
-blocks for the Hamming kernel, whose entries are integers.
+``conv2d`` (blocked as above inside each part), both pools, ``add``,
+the code recorder (which also returns the ReLU's output) and
+batch-norm's third pass; pairs of row blocks for the Hamming kernel,
+whose entries are integers.
 Batch-norm's two sums are not split: each channel's sum stays one
 sequence of additions, taken by the caller.  So no bit or stride
 depends on the part count, and ``taskset`` to one CPU gives the
@@ -106,7 +107,6 @@ __all__ = [
     "conv2d",
     "batchnorm_batchstats",
     "avg_pool2d",
-    "relu",
     "add",
 ]
 
@@ -430,13 +430,6 @@ def _pool_2x2_stride_2(x: np.ndarray) -> np.ndarray:
         part /= 4
 
     _split(n, x.nbytes, windows)
-    return out
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """max(x, 0) elementwise, in x's memory layout."""
-    out = np.empty_like(x)
-    _split(len(x), x.nbytes, lambda start, stop: np.maximum(x[start:stop], 0.0, out=out[start:stop]))
     return out
 
 

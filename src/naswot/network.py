@@ -20,7 +20,9 @@ Convolution edges are ReLU -> conv -> BN triplets, so every such edge
 contributes one ReLU site.  A forward pass records, for every input,
 one bit per ReLU unit (1 where the pre-activation is strictly positive),
 bit-packed 64 to a word.  The code length N_A is the total unit count
-over all sites, a site of multiplicity m counted m times.
+over all sites, a site of multiplicity m counted m times.  Each site is
+read once: the pass that records its bits also writes the ReLU's
+output, which the next conv takes.
 
 The forward pass runs a cell node by node (A, B, C) and does each
 node's shared work once.  The m conv edges leaving a node share one
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import _split, add, avg_pool2d, batchnorm_batchstats, conv2d, relu
+from .layers import _BLOCK_BYTES, _split, add, avg_pool2d, batchnorm_batchstats, conv2d
 from .searchspace import EDGES, Genotype, OpKind
 
 __all__ = [
@@ -80,8 +82,11 @@ class NetworkConfig:
     init_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.stem_channels < 1 or self.cells_per_stage < 1:
-            raise ValueError("channel and cell counts must be positive")
+        for name, least in (("stem_channels", 1), ("cells_per_stage", 1), ("init_seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         # stored as a tuple of three ints, as Genotype stores its ops: the
         # config then hashes, and a batch's shape[1:] compares equal to it
         shape = tuple(self.input_shape) if np.iterable(self.input_shape) else ()
@@ -131,12 +136,14 @@ class ActivationCodeMatrix:
 
 class _CodeRecorder:
     """Packs ReLU pre-activation sign bits into codes laid out for
-    ``sites``, the (units, multiplicity) of each site in forward order.
+    ``sites``, the (units, multiplicity) of each site in forward order,
+    and returns each site's activation.
 
     Each site's bits are taken in the site's own memory order, batch
     axis first, so no site is copied into channel-major order, and are
-    packed once.  A large site is checked, signed and packed in runs of
-    images, one per CPU (see ``layers``).
+    packed once.  A large site is read in runs of images, one per CPU
+    (see ``layers``), and each run in blocks of images that fit in cache,
+    each block checked, signed, packed and rectified before the next.
     """
 
     def __init__(self, n_inputs: int, sites) -> None:
@@ -146,9 +153,10 @@ class _CodeRecorder:
         self.recorded: list[tuple[int, int]] = []
         self.filled = self.at = 0  # the units (m per unit of multiplicity m) and bytes recorded
 
-    def record(self, pre_activation: np.ndarray, times: int = 1) -> None:
-        """Record a site's sign bits with multiplicity ``times``: the
-        ReLU of a node that leads that many conv edges."""
+    def record(self, pre_activation: np.ndarray, times: int = 1) -> np.ndarray:
+        """Record a site's sign bits with multiplicity ``times`` (the ReLU
+        of a node that leads that many conv edges) and return the site's
+        activation, max(x, 0) in x's memory layout."""
         # the non-batch axes from largest to smallest stride: the order
         # the site's values lie in memory
         axes = sorted(range(1, pre_activation.ndim), key=lambda a: -pre_activation.strides[a])
@@ -158,21 +166,25 @@ class _CodeRecorder:
         if self.filled + times * units > self.plan.n_units or at + span > self.packed.shape[1]:
             raise RuntimeError(f"ReLU sites hold more units than the {self.plan.n_units} "
                                "that count_relu_units gives")
-        n = src.shape[0]
-        bits = np.empty((n, units), dtype=bool)
+        out = np.empty_like(pre_activation)
+        dst = out.transpose(0, *axes)
+        # images per block: about _BLOCK_BYTES of the site, so each block is
+        # read from cache by all three steps
+        nb = max(1, _BLOCK_BYTES // max(1, src[0].nbytes))
 
-        def sign_bits(start: int, stop: int) -> None:
-            part = bits[start:stop].reshape(src[start:stop].shape)
-            np.isfinite(src[start:stop], out=part)
-            if not part.all():
-                raise NonFiniteActivation("NaN or Inf pre-activation at a ReLU site")
-            np.greater(src[start:stop], 0, out=part)
-            self.packed[start:stop, at:at + -(-units // 8)] = np.packbits(bits[start:stop], axis=1)
+        def blocks(start: int, stop: int) -> None:
+            for i in range(start, stop, nb):
+                j = min(i + nb, stop)
+                if not np.isfinite(src[i:j]).all():
+                    raise NonFiniteActivation("NaN or Inf pre-activation at a ReLU site")
+                self.packed[i:j, at:at + -(-units // 8)] = np.packbits((src[i:j] > 0).reshape(j - i, units), axis=1)
+                np.maximum(src[i:j], 0.0, out=dst[i:j])
 
-        _split(n, src.nbytes, sign_bits)
+        _split(len(src), src.nbytes, blocks)
         self.filled += times * units
         self.at += span
         self.recorded.append((units, times))
+        return out
 
     def codes(self) -> ActivationCodeMatrix:
         if tuple(self.recorded) != self.plan.sites:
@@ -202,8 +214,7 @@ def _cell_forward(x, ops: tuple[OpKind, ...], cell_groups: list, epsilon: float,
         groups = [g for g in cell_groups if g[0] == src]
         convs = {}  # conv edge index -> its batch-norm output
         if groups:
-            recorder.record(a, times=sum(len(edges) for _, _, edges in groups))
-            activated = relu(a)
+            activated = recorder.record(a, times=sum(len(edges) for _, _, edges in groups))
             for _, weights, edges in groups:
                 y = conv2d(activated, weights, 1, weights.shape[-1] // 2)
                 convs.update(zip(edges, batchnorm_batchstats(y, epsilon, parts=len(edges))))
@@ -251,11 +262,9 @@ def _downsample_forward(x, kernels: tuple, epsilon: float, recorder):
     outlives its use.
     """
     conv1, conv2, shortcut = kernels
-    recorder.record(x)
-    out = conv2d(relu(x), conv1, 2, 1)
+    out = conv2d(recorder.record(x), conv1, 2, 1)
     out = batchnorm_batchstats(out, epsilon)
-    recorder.record(out)
-    out = relu(out)
+    out = recorder.record(out)
     out = conv2d(out, conv2, 1, 1)
     out = batchnorm_batchstats(out, epsilon)
     # The main path ends in a fresh batch-norm output laid out like
@@ -283,8 +292,9 @@ class Network:
 
     def forward(self, batch: np.ndarray, recorder: _CodeRecorder, stem: np.ndarray | None = None) -> None:
         """Run the skeleton on a float32 batch, handing ``recorder`` each
-        ReLU site's pre-activation in forward order.  With ``stem``, the
-        stem's output for ``batch``, the pass starts at stage 1."""
+        ReLU site's pre-activation in forward order and going on with the
+        activation it returns.  With ``stem``, the stem's output for
+        ``batch``, the pass starts at stage 1."""
         eps = self.config.bn_epsilon
         x = self.stem_output(batch) if stem is None else stem
         for downsample, cells in self.stages:

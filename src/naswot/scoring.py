@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .layers import _BLOCK_BYTES, _SPLIT_BYTES, _split
-from .network import (ActivationCodeMatrix, Network, NetworkConfig, NonFiniteActivation, _check_batch, _weight_count,
+from .network import (ActivationCodeMatrix, NetworkConfig, NonFiniteActivation, _check_batch, _weight_count,
                       _weight_stream, build_network, forward_collect_codes)
 from .searchspace import Genotype, OpKind
 
@@ -169,28 +169,20 @@ def logdet_score(kernel: np.ndarray) -> Score:
     return Score(value=value)
 
 
-def _score(net: Network, batch: np.ndarray, stem: np.ndarray | None = None) -> Score:
-    """Run one batch through a built network and score it."""
-    try:
-        codes = forward_collect_codes(net, batch, stem)
-    except NonFiniteActivation:
-        return Score.invalid(ScoreStatus.NON_FINITE)
-    return logdet_score(hamming_kernel(codes))
-
-
 def score_network(genotype: Genotype, config: NetworkConfig, batch: np.ndarray) -> Score:
-    """Build, run one batch, and score: ln det of the code Hamming kernel."""
-    return _score(build_network(genotype, config), batch)
+    """One genotype's score on one batch: ln det of the code Hamming kernel."""
+    return make_scorer(config, batch)(genotype)
 
 
 def make_scorer(config: NetworkConfig, batch: np.ndarray) -> Callable[[Genotype], Score]:
     """Bind config and batch into a genotype -> Score callable.
 
-    The scorer gives ``score_network``'s scores, bit for bit, and does
-    once what every genotype would redo: it keeps the all-3x3 genotype's
-    weight stream, of which every genotype's is a prefix, and the stem's
-    output for the batch.  It keeps each only while making and keeping
-    it stays under ``layers._SPLIT_BYTES``, the size below which a layer
+    The scorer does once what every genotype would redo, and moves no
+    bit by it: it keeps the all-3x3 genotype's weight stream, of which
+    every genotype's is a prefix, and the stem's output for the batch,
+    and scores as ``build_network`` and ``forward_collect_codes`` alone
+    would.  It keeps each only while making and keeping it stays under
+    ``layers._SPLIT_BYTES``, the size below which a layer
     call runs on one core: both at the desk preset at batch 128, the
     stream alone at batch 1024 (whose stem conv splits), neither at the
     full preset (6.1 and 8 MB).  A larger piece holds its memory for the
@@ -219,6 +211,10 @@ def make_scorer(config: NetworkConfig, batch: np.ndarray) -> Callable[[Genotype]
         stem.flags.writeable = False
 
     def scorer(genotype: Genotype) -> Score:
-        return _score(build_network(genotype, config, stream), batch, stem)
+        try:
+            codes = forward_collect_codes(build_network(genotype, config, stream), batch, stem)
+        except NonFiniteActivation:
+            return Score.invalid(ScoreStatus.NON_FINITE)
+        return logdet_score(hamming_kernel(codes))
 
     return scorer

@@ -208,9 +208,10 @@ class ChannelMajorRecorder:
     def __init__(self) -> None:
         self.site_bits: list[np.ndarray] = []
 
-    def record(self, pre_activation: np.ndarray, times: int = 1) -> None:
+    def record(self, pre_activation: np.ndarray, times: int = 1) -> np.ndarray:
         n = pre_activation.shape[0]
         self.site_bits += [(pre_activation > 0).reshape(n, -1)] * times
+        return np.maximum(pre_activation, 0.0)
 
     def bits(self) -> np.ndarray:
         return np.concatenate(self.site_bits, axis=1)

@@ -14,7 +14,6 @@ from naswot.benchdata import (
     load_benchmark_csv,
     load_cifar10_batch,
     random_normal_batch,
-    write_benchmark_csv,
 )
 from naswot.searchspace import Genotype, OpKind, parse_arch
 
@@ -89,15 +88,14 @@ class TestLoadBenchmarkCsv:
         with pytest.raises(MissingFile):
             load_benchmark_csv(tmp_path / "absent.csv")
 
-    def test_write_then_load_is_identity(self, tmp_path):
+    def test_loaded_table_holds_the_written_records(self, tmp_path):
+        # repr floats load back exactly, and an empty test_acc loads as None
         records = {
-            A1: BenchmarkRecord(A1, "cifar10", 61.25, 59.5),
+            A1: BenchmarkRecord(A1, "cifar10", 61.25, 0.1 + 0.2),
             A2: BenchmarkRecord(A2, "cifar10", 91.5, None),
         }
-        table = EvaluatorTable(records=records, dataset="cifar10")
-        path = tmp_path / "out.csv"
-        write_benchmark_csv(table, path)
-        assert load_benchmark_csv(path) == table
+        path = write_csv(tmp_path, [f"{A1},cifar10,61.25,{0.1 + 0.2!r}", f"{A2},cifar10,91.5,"])
+        assert load_benchmark_csv(path) == EvaluatorTable(records=records, dataset="cifar10")
 
 
 class TestEvaluator:

@@ -406,6 +406,18 @@ class TestConfigResolution:
         assert err == "error: ValueError: input_shape must be three ints (channels, height, width), got (3, 8)\n"
         assert out == ""
 
+    def test_negative_seed_rejected_by_name(self, capsys):
+        code, out, err = run(capsys, "score", CONV_ARCH, "--preset", "desk", "--batch-size", "8", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err == "error: ValueError: seed must be an int >= 0, got -1\n"
+
+    def test_negative_init_seed_in_config_rejected_by_name(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("preset=desk\nbatch_size=8\ninit_seed=-1\n", encoding="utf-8")
+        code, out, err = run(capsys, "score", CONV_ARCH, "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err == "error: ValueError: init_seed must be an int >= 0, got -1\n"
+
     @pytest.mark.parametrize("epsilon", ["nan", "inf"])
     def test_non_finite_bn_epsilon_rejected(self, capsys, tmp_path, epsilon):
         cfg = tmp_path / "run.cfg"

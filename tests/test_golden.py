@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,13 @@ def test_scores_match_golden_table(key, config, batch_size, rel_tol, archs):
             assert got["score"] is None, got["arch"]
         else:
             assert math.isclose(got["score"], want["score"], rel_tol=rel_tol), got["arch"]
+
+
+def test_desk_search_reference_table_holds():
+    # every stored desk-search row of the benchmark: status exact and the
+    # score within the workload's relative bound; the table is only read
+    script = Path(__file__).with_name("check_references.py")
+    done = subprocess.run([sys.executable, str(script), "--workload", "desk-search"],
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert " 0 missed" in done.stdout.splitlines()[-1]

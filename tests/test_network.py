@@ -67,6 +67,21 @@ class TestConfig:
             batch = normal_batch(4, (3, 8, 8), 0)
             assert forward_collect_codes(build_network(parse_arch(EXAMPLE), cfg), batch).n_inputs == 4
 
+    # none of these may reach a numpy call or the weight draw, whose
+    # errors name no setting
+    @pytest.mark.parametrize("name,value", [
+        ("stem_channels", 2.5), ("stem_channels", True), ("stem_channels", "8"), ("cells_per_stage", 1.5),
+        ("cells_per_stage", False), ("init_seed", 1.5), ("init_seed", -1), ("init_seed", np.int64(-1)),
+    ])
+    def test_non_int_counts_and_seed_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= [01], got "):
+            NetworkConfig.desk(**{name: value})
+
+    def test_numpy_int_counts_and_seed_stored_as_ints(self):
+        cfg = NetworkConfig.desk(stem_channels=np.int64(8), cells_per_stage=np.int32(1), init_seed=np.uint8(0))
+        assert cfg == NetworkConfig.desk() and hash(cfg) == hash(NetworkConfig.desk())
+        assert all(type(v) is int for v in (cfg.stem_channels, cfg.cells_per_stage, cfg.init_seed))
+
     @pytest.mark.parametrize("shape", [(3, 8.0, 8), [3, 8], (3, 8, 8, 1)], ids=["float", "two", "four"])
     def test_input_shape_not_three_ints_rejected(self, shape):
         with pytest.raises(ValueError, match="input_shape must be three ints"):

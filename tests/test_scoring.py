@@ -325,7 +325,7 @@ class TestMakeScorer:
             monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **k: calls.update([_name]) or _fn(*a, **k))
         batch = random_normal_batch((32, *self.DESK.input_shape), 0)
         genotype = parse_arch(EXAMPLE)
-        score_network(genotype, self.DESK, batch)
+        forward_collect_codes(build_network(genotype, self.DESK), batch)
         fresh = Counter(calls)
         scorer = make_scorer(self.DESK, batch)
         calls.clear()

@@ -18,7 +18,7 @@ import naswot.layers as layers
 import naswot.network
 import naswot.scoring
 from naswot.benchdata import random_normal_batch
-from naswot.layers import _split, add, avg_pool2d, batchnorm_batchstats, conv2d, relu
+from naswot.layers import _split, add, avg_pool2d, batchnorm_batchstats, conv2d
 from naswot.network import NetworkConfig, NonFiniteActivation, _CodeRecorder, build_network, forward_collect_codes
 from naswot.scoring import ScoreStatus, hamming_kernel, score_network
 from naswot.searchspace import parse_arch, sample_uniform
@@ -199,7 +199,8 @@ class TestLayersSplit:
         for view in in_layouts(x):
             if min(shape[2:]) > 1:  # the window mean needs a 2x2 map
                 assert_same_bits_and_strides(avg_pool2d(view, 2, 2, 0), avg_pool_window_mean(view, 2, 2, 0))
-            assert_same_bits_and_strides(relu(view), np.maximum(view, 0.0))
+            activated = _CodeRecorder(len(view), [(view[0].size, 1)]).record(view)
+            assert_same_bits_and_strides(activated, np.maximum(view, 0.0))
             # node sums of same and of mixed layouts
             for other in in_layouts(x[::-1]):
                 assert_same_bits_and_strides(add(view, other), view + other)
@@ -330,6 +331,44 @@ class TestErrorsSplit:
         batch[5, 0, 0, 0] = np.nan
         score = score_network(parse_arch(MIXED[0]), config, batch)
         assert score.status is ScoreStatus.NON_FINITE
+
+
+def record_site(x) -> tuple:
+    """A one-site recorder's code words and the activation it returns for x."""
+    recorder = _CodeRecorder(len(x), [(x[0].size, 1)])
+    activated = recorder.record(x)
+    return recorder.codes().words, activated
+
+
+class TestRecorderBlocks:
+    # _BLOCK_BYTES patched to hold one and two images of the site, so
+    # each part of 7 images reads several blocks, the last one short
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("images_per_block", [1, 2])
+    @pytest.mark.parametrize("site", [(3, 5, 5), (8, 4, 4)], ids=["unaligned", "word"])
+    def test_blocks_give_the_words_and_activation_of_one_block(self, monkeypatch, workers, images_per_block, site):
+        x = np.random.default_rng(list(site)).standard_normal((7, *site), dtype=np.float32)
+        x[2, 0] = 0.0
+        x[4, 1] = -0.0
+        for view in in_layouts(x):
+            want_words, want = record_site(view)
+            split_into(monkeypatch, workers)
+            monkeypatch.setattr(naswot.network, "_BLOCK_BYTES", images_per_block * view[0].nbytes)
+            words, activated = record_site(view)
+            monkeypatch.undo()
+            assert np.array_equal(words, want_words)
+            assert_same_bits_and_strides(activated, want)
+            assert_same_bits_and_strides(activated, np.maximum(view, 0.0))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_only_in_a_later_block_is_caught(self, monkeypatch, workers, bad):
+        x = np.ones((6, 4, 4, 4), dtype=np.float32)
+        x[2, 1, 0, 3] = bad  # in the first part's last block
+        split_into(monkeypatch, workers)
+        monkeypatch.setattr(naswot.network, "_BLOCK_BYTES", x[0].nbytes)
+        with pytest.raises(NonFiniteActivation):
+            _CodeRecorder(6, [(64, 1)]).record(x)
 
 
 class TestUnitCountsSplit:
