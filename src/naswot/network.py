@@ -167,7 +167,6 @@ class _CodeRecorder:
             raise RuntimeError(f"ReLU sites hold more units than the {self.plan.n_units} "
                                "that count_relu_units gives")
         out = np.empty_like(pre_activation)
-        dst = out.transpose(0, *axes)
         # images per block: about _BLOCK_BYTES of the site, so each block is
         # read from cache by all three steps
         nb = max(1, _BLOCK_BYTES // max(1, src[0].nbytes))
@@ -178,7 +177,7 @@ class _CodeRecorder:
                 if not np.isfinite(src[i:j]).all():
                     raise NonFiniteActivation("NaN or Inf pre-activation at a ReLU site")
                 self.packed[i:j, at:at + -(-units // 8)] = np.packbits((src[i:j] > 0).reshape(j - i, units), axis=1)
-                np.maximum(src[i:j], 0.0, out=dst[i:j])
+                np.maximum(pre_activation[i:j], 0.0, out=out[i:j])
 
         _split(len(src), src.nbytes, blocks)
         self.filled += times * units

@@ -10,7 +10,9 @@ must match, the earlier per-edge cell, whose kernels the fused one must
 match, and the earlier per-kernel weight draw, which the slices of one
 weight stream must match.  ``synthetic_accuracy`` is no oracle: it is
 the accuracy surrogate that the search tests and the table fixtures
-share.
+share.  ``unkept_score`` is no oracle either: it is the score taken
+the plain way, one fresh network and one fresh forward per call, which
+a scorer that keeps pieces across genotypes must match bit for bit.
 """
 
 import math
@@ -18,7 +20,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from naswot.network import ActivationCodeMatrix
+from naswot.network import ActivationCodeMatrix, NonFiniteActivation, build_network, forward_collect_codes
+from naswot.scoring import Score, ScoreStatus, hamming_kernel, logdet_score
 from naswot.searchspace import OpKind
 
 
@@ -215,6 +218,16 @@ class ChannelMajorRecorder:
 
     def bits(self) -> np.ndarray:
         return np.concatenate(self.site_bits, axis=1)
+
+
+def unkept_score(genotype, config, batch) -> Score:
+    """The score with nothing kept: a fresh ``build_network`` and a
+    fresh ``forward_collect_codes`` over the whole batch."""
+    try:
+        codes = forward_collect_codes(build_network(genotype, config), batch)
+    except NonFiniteActivation:
+        return Score.invalid(ScoreStatus.NON_FINITE)
+    return logdet_score(hamming_kernel(codes))
 
 
 def kernels_in_draw_order(genotype, config) -> tuple:

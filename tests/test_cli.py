@@ -9,8 +9,10 @@ import pytest
 import naswot
 from naswot import cli
 from naswot.cli import main
-from naswot.scoring import Score, score_network
+from naswot.scoring import Score
 from naswot.searchspace import Genotype, OpKind, parse_arch
+
+from oracles import unkept_score
 
 ZERO_ARCH = str(Genotype.uniform(OpKind.ZEROISE))
 CONV_ARCH = str(Genotype.uniform(OpKind.CONV_3X3))
@@ -256,7 +258,7 @@ class TestCorrelateCommand:
         config, batch = cli._config_and_batch(cli._resolve_settings(cli._build_parser().parse_args(args)))
         _, rows = read_rows(report)
         for arch, value, status, _ in rows[1:]:
-            want = score_network(parse_arch(arch), config, batch)
+            want = unkept_score(parse_arch(arch), config, batch)
             assert (value, status) == ((repr(want.value) if want.is_valid else ""), want.status.name)
 
     def test_rerun_byte_identical(self, capsys, tmp_path, full_bench_csv):

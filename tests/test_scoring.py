@@ -22,7 +22,7 @@ from naswot.searchspace import Genotype, OpKind, as_generator, parse_arch, sampl
 
 from make_golden import MIXED, TABLES
 from oracles import (codes_from_bits, codes_from_sites, det_cofactor, kernel_per_bit, kernel_python_loops, logdet_lu,
-                     unpack_codes)
+                     unkept_score, unpack_codes)
 
 EXAMPLE = "|nor_conv_3x3~0|+|none~0|skip_connect~1|+|avg_pool_3x3~0|nor_conv_1x1~1|skip_connect~2|"
 
@@ -258,7 +258,7 @@ class TestScoreNetwork:
     def test_make_scorer_binds_config_and_batch(self):
         scorer = make_scorer(self.cfg, self.batch)
         genotype = parse_arch(EXAMPLE)
-        assert scorer(genotype) == score_network(genotype, self.cfg, self.batch)
+        assert same_score(scorer(genotype), unkept_score(genotype, self.cfg, self.batch))
 
     def test_score_is_finite_positive_for_typical_genotype(self):
         net = build_network(parse_arch(EXAMPLE), self.cfg)
@@ -276,8 +276,9 @@ class TestMakeScorer:
     # output while making and keeping each stays under layers._SPLIT_BYTES:
     # both at the desk preset at batch 128 (363 KB; 256 KB, its stem conv
     # 0.9 MB), the stream alone at 1024 (its stem conv 7 MB), neither at
-    # the full preset (6.1 MB; 8 MB).  Its scores are score_network's, bit
-    # for bit.
+    # the full preset (6.1 MB; 8 MB).  Its scores, and so score_network's,
+    # are those of a fresh build_network and forward_collect_codes
+    # (oracles.unkept_score), bit for bit.
     _, DESK, DESK_BATCH, _, DESK_ARCHS = TABLES[0]
 
     @pytest.mark.parametrize("batch_size", [DESK_BATCH, 1024])
@@ -286,13 +287,15 @@ class TestMakeScorer:
         scorer = make_scorer(self.DESK, batch)
         for arch in self.DESK_ARCHS:
             genotype = parse_arch(arch)
-            assert same_score(scorer(genotype), score_network(genotype, self.DESK, batch)), arch
+            want = unkept_score(genotype, self.DESK, batch)
+            assert same_score(scorer(genotype), want), arch
+            assert same_score(score_network(genotype, self.DESK, batch), want), arch
 
     def test_full_score_equals_score_network_after_the_batch_changes(self):
         config = NetworkConfig()
         batch = random_normal_batch((128, *config.input_shape), 0)
         genotype = parse_arch(MIXED[0])
-        want = score_network(genotype, config, batch)
+        want = unkept_score(genotype, config, batch)
         scorer = make_scorer(config, batch)
         batch[1] = batch[0]  # would make the kernel singular
         assert same_score(scorer(genotype), want)
@@ -301,7 +304,7 @@ class TestMakeScorer:
     def test_desk_score_ignores_later_changes_to_the_batch(self, batch_size):
         batch = random_normal_batch((batch_size, *self.DESK.input_shape), 1)
         genotypes = [parse_arch(arch) for arch in MIXED[:3]]
-        want = [score_network(genotype, self.DESK, batch) for genotype in genotypes]
+        want = [unkept_score(genotype, self.DESK, batch) for genotype in genotypes]
         scorer = make_scorer(self.DESK, batch)
         batch[1] = batch[0]
         batch[2:] = -batch[2:]
