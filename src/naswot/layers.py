@@ -11,28 +11,29 @@ and the same strides as the sliding-window expressions they replaced
 (kept as references in ``tests/oracles.py``), on the NCHW and NHWC
 memory layouts the forward pass produces, so every score is unchanged;
 the stride-1 pool's exceptions on one-pixel maps are named below.
-For ``conv2d`` that holds from two output channels up: with one, numpy
-hands the one-column GEMM to a matrix-vector BLAS routine whose
-summation order follows the operands' layout, so only the values agree,
-at float32 tolerance.  Only one-channel cells (``stem_channels=1``)
-convolve to one channel, and no preset does.
+For ``conv2d`` that is a property of OpenBLAS's ``SkylakeX`` SGEMM
+kernels, which sum a row alike whatever the call's row count, the row's
+offset and the column count; on other families (``Haswell``, the AVX2
+ones) only the values agree.  It holds from two output channels up: with
+one, numpy hands the GEMM to a matrix-vector routine whose summation
+order follows the operands' layout.  Only one-channel cells
+(``stem_channels=1``) convolve to one channel, and no preset does.
 ``conv2d`` hands BLAS the same im2col matrix, staged channel-major and
 passed transposed, one block of images at a time: each output row is
 the dot product of one image patch with one filter over the same K
 entries in the same order whichever block holds it and wherever it sits
-in the block's GEMM, so neither blocking over the batch nor the order
-of a block's rows moves a bit.  A 3x3 conv whose block holds more
-images than an output row holds pixels (at batch 128, every desk-preset
-one and the full preset's onto 8x8 maps) stages the block with the batch innermost,
-so each kernel tap is one copy of ow * b floats at a time, not of ow;
-its GEMM writes into a buffer whose rows one transposing copy puts back
-in image order.  1x1 convs and the other 3x3 shapes stage image by
-image.  Stacking the kernels of several convolutions
-of one input along C_out keeps each output column the same K-long dot
-product, so each run of columns equals a separate call.
+in the block's GEMM, so on ``SkylakeX`` neither blocking over the batch
+nor the order of a block's rows moves a bit.  A 3x3 conv whose block
+holds more images than an output row holds pixels (at batch 128, every
+desk-preset one and the full preset's onto 8x8 maps) stages the block
+with the batch innermost, so each kernel tap is one copy of ow * b
+floats at a time, not of ow; its GEMM writes into a buffer whose rows
+one transposing copy puts back in image order.  1x1 convs and the other 3x3 shapes stage image by
+image.  Stacking the kernels of several convolutions of one input along
+C_out keeps each output column the same K-long dot product, so on
+``SkylakeX`` each run of columns equals a separate call.
 ``tests/test_layers.py`` checks all three at every preset conv shape,
-and blocking at batches ending inside, below and on a block edge, in
-both stagings.  The
+and batches of one, two and three blocks, in both stagings.  The
 stride-1 pool adds each window row, then the row sums, which is the
 order numpy's window mean uses on every memory layout but fully
 reversed (W, H, C, N) memory, which the forward pass never produces.
@@ -40,9 +41,10 @@ Maps one pixel wide and three or more tall are the other exception:
 numpy adds their windows in another order, so the last bit can
 differ.  Each output is the same sequence of additions whatever the
 memory order, so the pool sums in the input's own memory order, where
-an add over NHWC memory runs along a map row of w * C floats, and
-divides into a C-ordered output on every layout; only that output's
-layout reaches a later bit, through the stride-2 pool's add order.
+an add over NHWC memory runs along a map row of w * C floats, a block
+at a time in its part's padded, row-sum and window-sum buffers, and
+divides each block into a C-ordered output on every layout; only that
+output's layout reaches a later bit, through the stride-2 pool's order.
 numpy lays out the mean of a one-image NHWC batch whose map is one
 pixel high or wide as its input, so only there do the strides differ.
 No preset pools such maps.  The stride-2 pool adds four strided views
@@ -78,21 +80,22 @@ sums.
 The tests check blocked, one-block and split batches on inputs built so
 that another summation order shows in the float32 output.
 
-A call that touches ``_SPLIT_BYTES`` or more splits its work into one
-contiguous part per CPU in the process's affinity mask (``_split``):
-the caller runs the first part, and a thread it starts and joins runs
-each other part, so no thread outlives the call and calls from several
-threads share nothing.  The code recorder and the Hamming kernel use
-the same helper.  Every part runs the same operations a one-part call
-runs, on its own rows of buffers the caller made: runs of images for
-``conv2d`` (blocked as above inside each part), both pools, ``add``,
-the code recorder (which also returns the ReLU's output) and
-batch-norm's third pass; pairs of row blocks for the Hamming kernel,
-whose entries are integers.
+Every call runs over the batch in blocks of images set by its shape
+alone (``_images_per_block``): the fewest blocks of about
+``_BLOCK_BYTES``, evened out to sizes at most one image apart.  A call
+that touches ``_SPLIT_BYTES`` or more runs its blocks in one contiguous
+part per CPU in the process's affinity mask (``_split``), cut only
+between blocks: the caller runs the first part, and a thread it starts
+and joins runs each other part, so no thread outlives the call and calls
+from several threads share nothing.  Each block runs the same operations
+whichever part holds it, in its part's buffers, which the caller made:
+blocks of images for ``conv2d``, both pools, ``add``, the code recorder
+(which also returns the ReLU's output) and batch-norm's third pass; row
+block pairs for the Hamming kernel, whose entries are integers.
 Batch-norm's two sums are not split: each channel's sum stays one
-sequence of additions, taken by the caller.  So no bit or stride
-depends on the part count, and ``taskset`` to one CPU gives the
-same scores.
+sequence of additions, taken by the caller.  So each GEMM is the same
+call and no code bit or stride depends on the part count, on any BLAS
+kernel family: ``taskset`` to one CPU gives the same codes.
 """
 
 from __future__ import annotations
@@ -124,27 +127,44 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _SPLIT_BYTES = 4 << 20
 
 
-def _split(n: int, nbytes: int, work, scratch=None) -> None:
-    """Run ``work(start, stop)`` over contiguous parts of range(n), one per CPU.
+def _images_per_block(n: int, image_bytes: int) -> int:
+    """The most images a block of an n-image call holds, by the shape
+    alone: the fewest blocks of about ``_BLOCK_BYTES``, evened out."""
+    most = max(1, _BLOCK_BYTES // max(1, image_bytes))
+    return -(-n // max(1, -(-n // most))) or 1
+
+
+def _blocks(n: int, nb: int) -> list[tuple[int, int]]:
+    """range(n) in ceil(n / nb) runs (start, stop), sizes at most one apart."""
+    count = -(-n // nb)
+    return [(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _split(n: int, nb: int, nbytes: int, work, scratch=None) -> None:
+    """Run ``work(start, stop)`` once per block of range(n) (``_blocks``),
+    in one contiguous run of blocks per CPU, so a block is the same
+    whatever the part count.
 
     A call touching fewer than ``_SPLIT_BYTES`` is one part.  Otherwise
     the caller starts one thread for each part after the first, runs the
-    first part itself and joins the threads.  With ``scratch``, each part
-    runs ``work(start, stop, scratch(start, stop))``, every buffer made
-    by the caller first, so the threads allocate no large array.  Every
-    part has finished before this returns or raises the first error a
-    part raised, in part order.
+    first part itself and joins the threads.  With ``scratch``, a part's
+    blocks run ``work(start, stop, scratch(a, b))``, a...b-1 the part's
+    images, every part's buffers made by the caller first, so the threads
+    allocate no large array.  Every part has finished before this returns
+    or raises the first error a part raised, in part order.
     """
-    parts = min(_WORKERS, n) if nbytes >= _SPLIT_BYTES else 1
-    if parts <= 1:
-        return work(0, n, scratch(0, n)) if scratch else work(0, n)
-    cuts = [n * p // parts for p in range(parts + 1)]
-    args = [(a, b, scratch(a, b)) if scratch else (a, b) for a, b in zip(cuts, cuts[1:])]
+    blocks = _blocks(n, nb)
+    if not blocks:
+        return
+    parts = min(_WORKERS, len(blocks)) if nbytes >= _SPLIT_BYTES else 1
+    runs = [blocks[len(blocks) * p // parts:len(blocks) * (p + 1) // parts] for p in range(parts)]
+    args = [(scratch(run[0][0], run[-1][1]),) if scratch else () for run in runs]
     errors = [None] * parts
 
     def run(part: int) -> None:
         try:
-            work(*args[part])
+            for start, stop in runs[part]:
+                work(start, stop, *args[part])
         except BaseException as exc:
             errors[part] = exc
 
@@ -166,16 +186,6 @@ class ShapeMismatch(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def _conv_blocking(n: int, c_in: int, kernel: int, oh: int, ow: int, itemsize: int) -> tuple[int, bool]:
-    """(images per block, whether a block stages its batch innermost) for
-    a conv of n images: a block's im2col columns fill about
-    ``_BLOCK_BYTES``, and a 3x3 conv's block of more images than an
-    output row has pixels puts the batch innermost, so each tap copy runs
-    over ow * b floats, not ow."""
-    nb = max(1, min(n, _BLOCK_BYTES // max(1, c_in * kernel * kernel * oh * ow * itemsize)))
-    return nb, kernel > 1 and nb > ow
-
-
 def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlate a batch with a (C_out, C_in, k, k) kernel, no bias.
 
@@ -195,37 +205,39 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0
     oh = (h - kh) // stride + 1
     ow = (w - kw) // stride + 1
     k, m = c_in * kh * kw, oh * ow
-    nb, batch_inner = _conv_blocking(n, c_in, kh, oh, ow, x.itemsize)
+    # a block's im2col columns fill about _BLOCK_BYTES; a 3x3 conv's block of more
+    # images than an output row has pixels puts the batch innermost (see above)
+    nb = _images_per_block(n, k * m * x.itemsize)
+    batch_inner = kh > 1 and nb > ow
     wmat = weights.reshape(c_out, k).T
     out = np.empty((n * m, c_out), dtype=np.result_type(x, weights))
 
     def images(start: int, stop: int, scratch: tuple) -> None:
-        """Images start...stop-1, nb at a time, into their output rows."""
+        """One block, images start...stop-1, into its output rows."""
         # the block's images, channel-major, inside a zero border that
         # stays zero because only the interior is ever written
         padded, cols_buf, gemm_buf = scratch
-        for i in range(start, stop, nb):
-            b = min(nb, stop - i)
-            src = padded[:, :b]
-            src[:, :, padding:h - padding, padding:w - padding] = x[i:i + b].transpose(1, 0, 2, 3)
-            # im2col staged as (C_in, kh, kw, b, oh, ow), or with the batch
-            # innermost as (C_in, kh, kw, oh, ow, b): one block copy per
-            # kernel tap; its transpose is the block's (b*oh*ow, C_in*kh*kw)
-            # column matrix in F order, its rows in the staging's order
-            flat = cols_buf[:k * b * m]
-            rows = out[i * m:(i + b) * m]
-            if batch_inner:
-                cols = flat.reshape(c_in, kh, kw, oh, ow, b).transpose(0, 1, 2, 5, 3, 4)
-                gemm = gemm_buf[:b * m]
-            else:
-                cols, gemm = flat.reshape(c_in, kh, kw, b, oh, ow), rows
-            for dy in range(kh):
-                for dx in range(kw):
-                    cols[:, dy, dx] = src[:, :, dy:dy + stride * (oh - 1) + 1:stride,
-                                          dx:dx + stride * (ow - 1) + 1:stride]
-            np.matmul(flat.reshape(k, b * m).T, wmat, out=gemm)
-            if batch_inner:
-                rows.reshape(b, m, c_out)[...] = gemm.reshape(m, b, c_out).transpose(1, 0, 2)
+        b = stop - start
+        src = padded[:, :b]
+        src[:, :, padding:h - padding, padding:w - padding] = x[start:stop].transpose(1, 0, 2, 3)
+        # im2col staged as (C_in, kh, kw, b, oh, ow), or with the batch
+        # innermost as (C_in, kh, kw, oh, ow, b): one block copy per
+        # kernel tap; its transpose is the block's (b*oh*ow, C_in*kh*kw)
+        # column matrix in F order, its rows in the staging's order
+        flat = cols_buf[:k * b * m]
+        rows = out[start * m:stop * m]
+        if batch_inner:
+            cols = flat.reshape(c_in, kh, kw, oh, ow, b).transpose(0, 1, 2, 5, 3, 4)
+            gemm = gemm_buf[:b * m]
+        else:
+            cols, gemm = flat.reshape(c_in, kh, kw, b, oh, ow), rows
+        for dy in range(kh):
+            for dx in range(kw):
+                cols[:, dy, dx] = src[:, :, dy:dy + stride * (oh - 1) + 1:stride,
+                                      dx:dx + stride * (ow - 1) + 1:stride]
+        np.matmul(flat.reshape(k, b * m).T, wmat, out=gemm)
+        if batch_inner:
+            rows.reshape(b, m, c_out)[...] = gemm.reshape(m, b, c_out).transpose(1, 0, 2)
 
     def scratch(start: int, stop: int) -> tuple:
         """A part's padded block (in memory as (C_in, h, w, b) when the
@@ -236,7 +248,7 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0
         return (np.zeros((c_in, h, w, b), dtype=x.dtype).transpose(0, 3, 1, 2),
                 np.empty(k * b * m, dtype=x.dtype), np.empty((b * m, c_out), dtype=out.dtype))
 
-    _split(n, n * k * m * x.itemsize, images, scratch)
+    _split(n, nb, n * k * m * x.itemsize, images, scratch)
     return out.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 
 
@@ -284,16 +296,16 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None
     # images per block: a quarter of _BLOCK_BYTES of float64 rows.  numpy
     # sums a lone channel pairwise, not row by row, so one channel is
     # always one block.
-    nb = n if c == 1 else max(1, min(n, _BLOCK_BYTES // (32 * max(1, hw * c))))
+    nb = n if c == 1 else _images_per_block(n, 32 * hw * c)
     one_block = nb >= n
     # row 0 holds the per-channel sums carried from the blocks before
     buf = np.empty((1 + nb * hw, c))
 
-    def load(into: np.ndarray, i: int, b: int) -> np.ndarray:
-        """Images i...i+b-1 as float64 rows of C channels, in into's rows
+    def load(into: np.ndarray, i: int, j: int) -> np.ndarray:
+        """Images i...j-1 as float64 rows of C channels, in into's rows
         from 1 on."""
-        rows = into[1:1 + b * hw]
-        rows.reshape(b, h, w, c)[...] = nhwc[i:i + b]
+        rows = into[1:1 + (j - i) * hw]
+        rows.reshape(j - i, h, w, c)[...] = nhwc[i:j]
         return rows
 
     def per_image(op, rows: np.ndarray, channel_values: np.ndarray) -> None:
@@ -305,8 +317,8 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None
 
     # pass 1: the mean
     total = None
-    for i in range(0, n, nb):
-        rows = load(buf, i, min(nb, n - i))
+    for i, j in _blocks(n, nb):
+        rows = load(buf, i, j)
         if c > 1:
             total = _carried_sum(buf, rows, total)
     if c == 1:
@@ -318,8 +330,8 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None
         total = _column_sums(np.square(rows))
     else:
         total = None
-        for i in range(0, n, nb):
-            rows = load(buf, i, min(nb, n - i))
+        for i, j in _blocks(n, nb):
+            rows = load(buf, i, j)
             per_image(np.subtract, rows, mean)
             total = _carried_sum(buf, np.square(rows, out=rows), total)
     denom = np.sqrt(total / count + epsilon)
@@ -327,24 +339,22 @@ def batchnorm_batchstats(x: np.ndarray, epsilon: float, parts: int | None = None
     denom = np.tile(np.where(denom == 0.0, 1.0, denom), hw)
     outs = [np.empty((count, cp), dtype=np.float32) for _ in range(parts or 1)]
 
-    def normalize(start: int, stop: int, own: np.ndarray) -> None:
-        """Pass 3 over images start...stop-1: deviations over the
+    def normalize(i: int, j: int, own: np.ndarray) -> None:
+        """Pass 3 over one block, images i...j-1: deviations over the
         denominators, rounded to float32 on store."""
-        for i in range(start, stop, nb):
-            b = min(nb, stop - i)
-            if one_block:
-                rows = buf[1 + i * hw:1 + (i + b) * hw]
-            else:
-                rows = load(own, i, b)
-                per_image(np.subtract, rows, mean)
-            per_image(np.divide, rows, denom)
-            for j, out in enumerate(outs):
-                out[i * hw:(i + b) * hw] = rows[:, j * cp:(j + 1) * cp]
+        if one_block:
+            rows = buf[1:1 + n * hw]
+        else:
+            rows = load(own, i, j)
+            per_image(np.subtract, rows, mean)
+        per_image(np.divide, rows, denom)
+        for k, out in enumerate(outs):
+            out[i * hw:j * hw] = rows[:, k * cp:(k + 1) * cp]
 
     # the sums stay one part: split by channel, each part still pays
     # numpy's inner-loop call per row and reads every cache line
-    _split(n, x.nbytes, normalize,
-           lambda start, stop: buf if start == 0 or one_block else np.empty((1 + min(nb, stop - start) * hw, c)))
+    _split(n, nb, x.nbytes, normalize,
+           lambda start, stop: buf if start == 0 else np.empty((1 + min(nb, stop - start) * hw, c)))
     # one channel in NHWC memory is C order, and numpy gives it C strides
     views = [out.reshape(n, h, w, cp).transpose(0, 3, 1, 2) if cp > 1 else out.reshape(n, 1, h, w)
              for out in outs]
@@ -376,35 +386,27 @@ def avg_pool2d(x: np.ndarray, kernel: int, stride: int = 1, padding: int = 0) ->
     # add on NHWC memory runs over a map row of w * C floats
     order = (0, *sorted(range(1, 4), key=lambda a: -x.strides[a]))
     back = tuple(map(order.index, range(4)))  # the inverse permutation
-
-    def buffer(make, height: int, width: int) -> np.ndarray:
-        """A (n, c, height, width) array laid out in memory in ``order``."""
-        shape = (n, c, height, width)
-        return make([shape[a] for a in order], dtype=x.dtype).transpose(back)
-
-    # the input inside a zero border that stays zero: only the interior is written
-    padded = buffer(np.zeros, h + 2, w + 2)
-    rows = buffer(np.empty, h + 2, w)
-
-    def row_sums(start: int, stop: int) -> None:
-        src, part = padded[start:stop], rows[start:stop]
-        src[:, :, 1:1 + h, 1:1 + w] = x[start:stop]
-        np.add(src[..., 0:w], src[..., 1:1 + w], out=part)
-        part += src[..., 2:2 + w]
-
-    _split(n, x.nbytes, row_sums)
-    del padded  # each buffer is freed before the one after the next is made
-    sums = buffer(np.empty, h, w)
-
-    def column_sums(start: int, stop: int) -> None:
-        src, part = rows[start:stop], sums[start:stop]
-        np.add(src[:, :, 0:h], src[:, :, 1:1 + h], out=part)
-        part += src[:, :, 2:2 + h]
-
-    _split(n, x.nbytes, column_sums)
-    del rows
+    # a block's padded input, row sums and window sums, which with its
+    # input and output fill about _BLOCK_BYTES
+    maps = [(h + 2, w + 2), (h + 2, w), (h, w)]
+    nb = _images_per_block(n, c * (2 * h * w + sum(y * z for y, z in maps)) * x.itemsize)
     out = np.empty(x.shape, dtype=x.dtype)
-    _split(n, x.nbytes, lambda start, stop: np.divide(sums[start:stop], 9, out=out[start:stop]))
+
+    def scratch(start: int, stop: int) -> list:
+        """A part's block buffers in ``order``; only the padded input's interior is written."""
+        shapes = [(min(nb, stop - start), c, *size) for size in maps]
+        return [np.zeros([shape[a] for a in order], dtype=x.dtype).transpose(back) for shape in shapes]
+
+    def windows(i: int, j: int, buffers: list) -> None:
+        padded, rows, sums = (buf[:j - i] for buf in buffers)
+        padded[:, :, 1:1 + h, 1:1 + w] = x[i:j]
+        np.add(padded[..., 0:w], padded[..., 1:1 + w], out=rows)
+        rows += padded[..., 2:2 + w]
+        np.add(rows[:, :, 0:h], rows[:, :, 1:1 + h], out=sums)
+        sums += rows[:, :, 2:2 + h]
+        np.divide(sums, 9, out=out[i:j])
+
+    _split(n, nb, x.nbytes, windows, scratch)
     return out
 
 
@@ -429,7 +431,7 @@ def _pool_2x2_stride_2(x: np.ndarray) -> np.ndarray:
         part += 0.0  # numpy's sum starts from +0, so no window sums to -0
         part /= 4
 
-    _split(n, x.nbytes, windows)
+    _split(n, _images_per_block(n, x[:1].nbytes), x.nbytes, windows)
     return out
 
 
@@ -437,5 +439,6 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a + b, laid out as numpy lays out the sum: like the operands when
     their strides agree, in C order when they do not."""
     out = np.empty_like(a) if a.strides == b.strides else np.empty(a.shape, dtype=np.result_type(a, b))
-    _split(len(a), a.nbytes, lambda start, stop: np.add(a[start:stop], b[start:stop], out=out[start:stop]))
+    _split(len(a), _images_per_block(len(a), a[:1].nbytes), a.nbytes,
+           lambda start, stop: np.add(a[start:stop], b[start:stop], out=out[start:stop]))
     return out

@@ -46,12 +46,13 @@ forward pass starts at stage 1.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import _BLOCK_BYTES, _split, add, avg_pool2d, batchnorm_batchstats, conv2d
+from .layers import _images_per_block, _split, add, avg_pool2d, batchnorm_batchstats, conv2d
 from .searchspace import EDGES, Genotype, OpKind
 
 __all__ = [
@@ -90,7 +91,7 @@ class NetworkConfig:
         # stored as a tuple of three ints, as Genotype stores its ops: the
         # config then hashes, and a batch's shape[1:] compares equal to it
         shape = tuple(self.input_shape) if np.iterable(self.input_shape) else ()
-        if len(shape) != 3 or not all(isinstance(d, (int, np.integer)) for d in shape):
+        if len(shape) != 3 or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in shape):
             raise ValueError(f"input_shape must be three ints (channels, height, width), got {self.input_shape!r}")
         object.__setattr__(self, "input_shape", tuple(int(d) for d in shape))
         c, h, w = self.input_shape
@@ -98,8 +99,9 @@ class NetworkConfig:
             raise ValueError(f"bad input shape {self.input_shape}")
         if h % 4 or w % 4:
             raise ValueError("input height/width must be multiples of 4 (two stride-2 blocks)")
-        if not (math.isfinite(self.bn_epsilon) and self.bn_epsilon >= 0):
-            raise ValueError(f"bn_epsilon must be finite and non-negative, got {self.bn_epsilon}")
+        eps = self.bn_epsilon
+        if not isinstance(eps, numbers.Real) or isinstance(eps, bool) or not (math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"bn_epsilon must be a finite non-negative real number, got {eps!r}")
 
     @classmethod
     def desk(cls, **overrides) -> "NetworkConfig":
@@ -141,9 +143,9 @@ class _CodeRecorder:
 
     Each site's bits are taken in the site's own memory order, batch
     axis first, so no site is copied into channel-major order, and are
-    packed once.  A large site is read in runs of images, one per CPU
-    (see ``layers``), and each run in blocks of images that fit in cache,
-    each block checked, signed, packed and rectified before the next.
+    packed once.  A site is read in blocks of images that fit in cache,
+    each block checked, signed, packed and rectified before the next;
+    a large site's blocks run in one run per CPU (see ``layers``).
     """
 
     def __init__(self, n_inputs: int, sites) -> None:
@@ -167,19 +169,14 @@ class _CodeRecorder:
             raise RuntimeError(f"ReLU sites hold more units than the {self.plan.n_units} "
                                "that count_relu_units gives")
         out = np.empty_like(pre_activation)
-        # images per block: about _BLOCK_BYTES of the site, so each block is
-        # read from cache by all three steps
-        nb = max(1, _BLOCK_BYTES // max(1, src[0].nbytes))
 
-        def blocks(start: int, stop: int) -> None:
-            for i in range(start, stop, nb):
-                j = min(i + nb, stop)
-                if not np.isfinite(src[i:j]).all():
-                    raise NonFiniteActivation("NaN or Inf pre-activation at a ReLU site")
-                self.packed[i:j, at:at + -(-units // 8)] = np.packbits((src[i:j] > 0).reshape(j - i, units), axis=1)
-                np.maximum(pre_activation[i:j], 0.0, out=out[i:j])
+        def block(i: int, j: int) -> None:
+            if not np.isfinite(src[i:j]).all():
+                raise NonFiniteActivation("NaN or Inf pre-activation at a ReLU site")
+            self.packed[i:j, at:at + -(-units // 8)] = np.packbits((src[i:j] > 0).reshape(j - i, units), axis=1)
+            np.maximum(pre_activation[i:j], 0.0, out=out[i:j])
 
-        _split(len(src), src.nbytes, blocks)
+        _split(len(src), _images_per_block(len(src), src[0].nbytes), src.nbytes, block)
         self.filled += times * units
         self.at += span
         self.recorded.append((units, times))

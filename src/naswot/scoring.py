@@ -113,23 +113,22 @@ def hamming_kernel(codes: ActivationCodeMatrix) -> np.ndarray:
     r = max(1, min(n, step // max(1, n)))
     blocks = -(-n // r)
 
-    def row_blocks(start: int, stop: int, scratch: tuple) -> None:
-        """Row blocks j and blocks-1-j for j in start...stop-1, from their
-        diagonal on: every such pair is about equal work."""
+    def row_blocks(j: int, _: int, scratch: tuple) -> None:
+        """Row blocks j and blocks-1-j from their diagonal on: every such
+        pair is about equal work."""
         xor_buf, count_buf = scratch
-        for j in range(start, stop):
-            for i in {j * r, (blocks - 1 - j) * r}:
-                i1 = min(n, i + r)
-                cols = max(1, step // (i1 - i))
-                for k in range(i, n, cols):
-                    k1 = min(n, k + cols)
-                    xor = xor_buf[:(i1 - i) * (k1 - k)]
-                    np.bitwise_xor(words[i:i1, None], words[None, k:k1], out=xor.reshape(i1 - i, k1 - k, n_words))
-                    counts = np.bitwise_count(xor, out=count_buf[:len(xor)])
-                    out[i:i1, k:k1] = (codes.n_units - counts @ weights).reshape(i1 - i, k1 - k)
-                out[i1:, i:i1] = out[i:i1, i1:].T
+        for i in {j * r, (blocks - 1 - j) * r}:
+            i1 = min(n, i + r)
+            cols = max(1, step // (i1 - i))
+            for k in range(i, n, cols):
+                k1 = min(n, k + cols)
+                xor = xor_buf[:(i1 - i) * (k1 - k)]
+                np.bitwise_xor(words[i:i1, None], words[None, k:k1], out=xor.reshape(i1 - i, k1 - k, n_words))
+                counts = np.bitwise_count(xor, out=count_buf[:len(xor)])
+                out[i:i1, k:k1] = (codes.n_units - counts @ weights).reshape(i1 - i, k1 - k)
+            out[i1:, i:i1] = out[i:i1, i1:].T
 
-    _split((blocks + 1) // 2, words.nbytes + out.nbytes, row_blocks,
+    _split((blocks + 1) // 2, 1, words.nbytes + out.nbytes, row_blocks,
            lambda start, stop: (np.empty((step, n_words), np.uint64), np.empty((step, n_words), dtype)))
     return out
 

@@ -24,11 +24,13 @@ def test_scores_match_golden_table(key, config, batch_size, rel_tol, archs):
             assert math.isclose(got["score"], want["score"], rel_tol=rel_tol), got["arch"]
 
 
-def test_desk_search_reference_table_holds():
-    # every stored desk-search row of the benchmark: status exact and the
-    # score within the workload's relative bound; the table is only read
+@pytest.mark.parametrize("workload", ["desk-search", "desk-wide-batch"])
+def test_desk_search_reference_table_holds(workload):
+    # every stored row of a desk workload of the benchmark: status exact
+    # and the score within the workload's relative bound; the table is
+    # only read
     script = Path(__file__).with_name("check_references.py")
-    done = subprocess.run([sys.executable, str(script), "--workload", "desk-search"],
+    done = subprocess.run([sys.executable, str(script), "--workload", workload],
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
     assert " 0 missed" in done.stdout.splitlines()[-1]

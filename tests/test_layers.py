@@ -7,7 +7,8 @@ import naswot.layers
 from naswot.layers import (
     _BLOCK_BYTES,
     ShapeMismatch,
-    _conv_blocking,
+    _blocks,
+    _images_per_block,
     avg_pool2d,
     batchnorm_batchstats,
     conv2d,
@@ -55,7 +56,8 @@ def conv_shapes():
 def conv_blocking(n, c_in, kernel, stride, h):
     """(images per block, batch innermost?) of conv2d at a same-padded shape."""
     o = (h - 1) // stride + 1
-    return _conv_blocking(n, c_in, kernel, o, o, 4)
+    nb = _images_per_block(n, c_in * kernel * kernel * o * o * 4)
+    return nb, kernel > 1 and nb > o
 
 
 def cell_conv_shapes():
@@ -193,10 +195,10 @@ class TestConv2d:
             assert_same_bits_and_strides(conv2d(view, weights, stride, kernel // 2),
                                          conv2d_window_im2col(view, weights, stride, kernel // 2))
 
-    # conv2d walks the batch in blocks of 3 images at the stage-1 3x3 shape
-    # and 14 at the stride-2 shape: batches of 1 and 5 end inside or below
-    # one block, and 129 ends on a block edge at one shape and in a ragged
-    # block of 3 at the other
+    # conv2d fits 3 images in a block at the stage-1 3x3 shape and 14 at
+    # the stride-2 shape: a batch of 1 is one block, 5 is two blocks of 2
+    # and 3 at one shape and one block at the other, and 129 is 43 blocks
+    # of 3 at one shape and ten blocks of 12 and 13 at the other
     @pytest.mark.parametrize("n", [1, 5, 129])
     @pytest.mark.parametrize("c_in,c_out,stride", [(16, 16, 1), (16, 32, 2)])
     def test_bit_identical_across_block_boundaries(self, n, c_in, c_out, stride):
@@ -208,10 +210,11 @@ class TestConv2d:
                                          conv2d_window_im2col(view, weights, stride, 1))
 
     # conv2d stages a 3x3 block with the batch innermost when it holds more
-    # images than an output row has pixels: 113 images at the desk stage-1
-    # shape, so batches 112-114 and 227 end below, on and past block edges;
-    # then the desk-wide batch, stacked kernels (24 and 48 channels out) and
-    # stride 2, whole, split in two and split in three
+    # images than an output row has pixels.  113 images fit in a block at
+    # the desk stage-1 shape, so batches 112 and 113 are one block, 114 is
+    # two of 57 and 227 three of 75 and 76; then the desk-wide batch,
+    # stacked kernels (24 and 48 channels out) and stride 2, whole, split
+    # in two and split in three
     @pytest.mark.parametrize("parts", [None, 2, 3])
     @pytest.mark.parametrize("n,c_in,c_out,stride,h", [
         (112, 8, 8, 1, 8), (113, 8, 8, 1, 8), (114, 8, 8, 1, 8), (227, 8, 8, 1, 8), (1024, 8, 8, 1, 8),
@@ -336,7 +339,8 @@ class TestBatchNorm:
     # parts=m is the batch-norm of m stacked convs: each run of C / m
     # channels must come out as its own call would give it, in its own
     # NHWC memory.  Batches fill one block of images, exactly three, or
-    # end in a half-full block; the sums carry from block to block.
+    # two and a half blocks' worth, which is three evened blocks; the sums
+    # carry from block to block.
     @pytest.mark.parametrize("blocks", [1, 3, 2.5])
     @pytest.mark.parametrize("parts,c", [(2, 16), (3, 24)])
     @pytest.mark.parametrize("make", [cancelling_batch, absorbing_batch])
@@ -441,13 +445,15 @@ class TestPooling:
         with pytest.raises(ShapeMismatch):
             avg_pool2d(x, kernel, stride, padding)
 
-    def test_stride_1_peak_is_the_padded_input_and_its_row_sums(self):
-        # each buffer is freed before the one two steps after it is made:
-        # the padded input before the column sums, the row sums before
-        # the output
+    def test_stride_1_peak_is_the_output_and_each_parts_block_buffers(self):
+        # each part's padded input, row sums and window sums hold one
+        # block of images; only the output is full size
         n, c, h = 128, 16, 32
         x = np.random.default_rng(5).standard_normal((n, c, h, h), dtype=np.float32)
-        padded_and_rows = n * c * (h + 2) * ((h + 2) + h) * x.itemsize
+        buffer_bytes = c * ((h + 2) * (h + 2) + (h + 2) * h + h * h) * x.itemsize
+        nb = _images_per_block(n, buffer_bytes + 2 * x[0].nbytes)  # with the block's input and output
+        parts = min(naswot.layers._WORKERS, len(_blocks(n, nb)))
+        out_and_blocks = x.nbytes + parts * nb * buffer_bytes
         for view in in_layouts(x):
             tracemalloc.start()
             try:
@@ -457,7 +463,7 @@ class TestPooling:
                 tracemalloc.stop()
             # 1 MB for the interpreter's own objects; one more full-size
             # buffer would add 8 MB
-            assert peak <= padded_and_rows + (1 << 20)
+            assert peak <= out_and_blocks + (1 << 20)
 
     def test_pooling_is_linear(self):
         rng = np.random.default_rng(4)

@@ -77,12 +77,18 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{name} must be an int >= [01], got "):
             NetworkConfig.desk(**{name: value})
 
+    @pytest.mark.parametrize("value", [True, np.True_, "1e-5", None, 1e-5j], ids=repr)
+    def test_non_real_bn_epsilon_rejected(self, value):
+        with pytest.raises(ValueError, match="^bn_epsilon must be a finite non-negative real number, got "):
+            NetworkConfig.desk(bn_epsilon=value)
+
     def test_numpy_int_counts_and_seed_stored_as_ints(self):
         cfg = NetworkConfig.desk(stem_channels=np.int64(8), cells_per_stage=np.int32(1), init_seed=np.uint8(0))
         assert cfg == NetworkConfig.desk() and hash(cfg) == hash(NetworkConfig.desk())
         assert all(type(v) is int for v in (cfg.stem_channels, cfg.cells_per_stage, cfg.init_seed))
 
-    @pytest.mark.parametrize("shape", [(3, 8.0, 8), [3, 8], (3, 8, 8, 1)], ids=["float", "two", "four"])
+    @pytest.mark.parametrize("shape", [(3, 8.0, 8), [3, 8], (3, 8, 8, 1), (True, 8, 8), (3, np.True_, 8)],
+                             ids=["float", "two", "four", "bool", "numpy-bool"])
     def test_input_shape_not_three_ints_rejected(self, shape):
         with pytest.raises(ValueError, match="input_shape must be three ints"):
             NetworkConfig.desk(input_shape=shape)

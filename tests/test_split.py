@@ -6,10 +6,14 @@ tests set them with ``monkeypatch`` to run the split path on small
 inputs, at part counts that leave uneven and one-image parts.
 """
 
+import json
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +48,8 @@ def codes_at(monkeypatch, workers: int, min_bytes: int, arch: str, config, batch
 
 
 class TestSplitHelper:
-    def test_parts_cover_the_range_once_in_order(self, monkeypatch):
+    @pytest.mark.parametrize("nb", [1, 2, 4])
+    def test_blocks_cover_the_range_once_in_order(self, monkeypatch, nb):
         split_into(monkeypatch, 3)
         for n in (0, 1, 2, 5, 129):
             seen = []
@@ -52,19 +57,41 @@ class TestSplitHelper:
 
             def work(start, stop):
                 with lock:
-                    seen.append((start, stop))
+                    seen.append((threading.current_thread(), start, stop))
 
-            _split(n, 1, work)
-            seen.sort()
-            assert seen[0][0] == 0 and seen[-1][1] == n
-            assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
-            assert len(seen) == max(1, min(3, n))
+            _split(n, nb, 1, work)
+            blocks = sorted((start, stop) for _, start, stop in seen)
+            assert len(blocks) == -(-n // nb)
+            assert [start for start, _ in blocks] + [n] == [0] + [stop for _, stop in blocks]
+            # none over nb, sizes at most one image apart
+            sizes = {stop - start for start, stop in blocks}
+            assert max(sizes, default=nb) <= nb and max(sizes, default=0) - min(sizes, default=0) <= 1
+            # each part runs its blocks in order, one part per CPU
+            for thread in {t for t, _, _ in seen}:
+                mine = [(start, stop) for t, start, stop in seen if t == thread]
+                assert all(a[1] == b[0] for a, b in zip(mine, mine[1:]))
+            assert len({t for t, _, _ in seen}) == min(3, len(blocks))
+
+    @pytest.mark.parametrize("n,nb", [(12, 4), (128, 3), (129, 13), (7, 2)])
+    def test_parts_are_cut_only_between_blocks(self, monkeypatch, n, nb):
+        """Every block, so every layer call a block makes, is the same
+        whatever the part count."""
+        blocks = {}
+        for workers in (1, 2, 3):
+            split_into(monkeypatch, workers)
+            seen = []
+            _split(n, nb, 1, lambda start, stop: seen.append((start, stop)))
+            blocks[workers] = sorted(seen)
+        assert blocks[2] == blocks[1] and blocks[3] == blocks[1]
+        if n % nb == 0:  # even blocks of nb: parts are cut at multiples of nb
+            assert {start % nb for start, _ in blocks[1]} == {0}
 
     def test_small_calls_stay_one_part(self, monkeypatch):
         split_into(monkeypatch, 2, min_bytes=100)
         seen = []
-        _split(10, 99, lambda start, stop: seen.append((start, stop)))
-        assert seen == [(0, 10)]
+        _split(10, 3, 99, lambda start, stop: seen.append((threading.get_ident(), start, stop)))
+        caller = threading.get_ident()
+        assert seen == [(caller, 0, 2), (caller, 2, 5), (caller, 5, 7), (caller, 7, 10)]
 
     def test_scratch_is_made_by_the_caller_for_each_part(self, monkeypatch):
         split_into(monkeypatch, 2)
@@ -75,9 +102,9 @@ class TestSplitHelper:
             made.append((threading.get_ident(), start, stop))
             return (start, stop)
 
-        _split(7, 1, lambda start, stop, buf: used.append((start, stop, buf)), scratch)
-        assert [(t, a, b) for t, a, b in made] == [(caller, 0, 3), (caller, 3, 7)]
-        assert sorted(used) == [(0, 3, (0, 3)), (3, 7, (3, 7))]
+        _split(7, 2, 1, lambda start, stop, buf: used.append((start, stop, buf)), scratch)
+        assert made == [(caller, 0, 3), (caller, 3, 7)]
+        assert sorted(used) == [(0, 1, (0, 3)), (1, 3, (0, 3)), (3, 5, (3, 7)), (5, 7, (3, 7))]
 
     @pytest.mark.parametrize("failing", [0, 1])
     def test_error_re_raised_after_the_other_part_is_done(self, monkeypatch, failing):
@@ -96,7 +123,7 @@ class TestSplitHelper:
             finished.append(part)
 
         with pytest.raises(ZeroDivisionError, match=f"part {failing}"):
-            _split(2, 1, work)
+            _split(2, 1, 1, work)
         # no part still runs once the call has raised
         assert finished == [1 - failing]
 
@@ -113,13 +140,32 @@ class TestSplitHelper:
 
         if fails:
             with pytest.raises(ZeroDivisionError):
-                _split(3, 1, work)
+                _split(3, 1, 1, work)
         else:
-            _split(3, 1, work)
+            _split(3, 1, 1, work)
         # the caller, and a thread of its own for each other part
         assert len(set(ran_in)) == 3 and threading.current_thread() in ran_in
         assert sorted(t.name for t in ran_in if t is not threading.current_thread()) == ["naswot-split"] * 2
         assert threading.active_count() == before
+
+
+class TestImagesPerBlock:
+    @pytest.mark.parametrize("image_bytes", [1, 4608, 18432, 589824, 3 << 20])
+    @pytest.mark.parametrize("n", [0, 1, 5, 113, 114, 128, 129, 227, 1024])
+    def test_fewest_blocks_of_about_block_bytes_at_most_one_image_apart(self, n, image_bytes):
+        nb = layers._images_per_block(n, image_bytes)
+        most = max(1, layers._BLOCK_BYTES // image_bytes)  # images that fit in a block
+        assert 1 <= nb <= max(1, min(n, most))
+        blocks = layers._blocks(n, nb)
+        assert len(blocks) == -(-n // most)
+        sizes = [stop - start for start, stop in blocks]
+        assert sum(sizes) == n and max(sizes, default=0) - min(sizes, default=0) <= 1
+
+    def test_an_empty_call_runs_no_block(self, monkeypatch):
+        split_into(monkeypatch, 2)
+        seen = []
+        _split(0, layers._images_per_block(0, 100), 1, seen.append, lambda start, stop: seen.append("scratch"))
+        assert seen == []
 
 
 class TestSharedPool:
@@ -221,7 +267,8 @@ class TestLayersSplit:
                 assert_same_bits_and_strides(part, want)
 
     # a step of 3 row pairs: one row at a time, in several column steps;
-    # 2n + 1 and 5n + 1 pairs: blocks of 2 and 5 rows, odd block counts
+    # 2n + 1 and 5n + 1 pairs: blocks of 2 and 5 rows, odd block counts.
+    # A step holds half of _BLOCK_BYTES of row pairs.
     @pytest.mark.parametrize("pairs_per_step", [lambda n: 3, lambda n: 2 * n + 1, lambda n: 5 * n + 1])
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("n", [2, 3, 5, 64])
@@ -231,7 +278,7 @@ class TestLayersSplit:
                                       random_normal_batch((n, *config.input_shape), n))
         want = np.array([[np.sum(a != b) for b in unpack_codes(codes)] for a in unpack_codes(codes)])
         split_into(monkeypatch, workers)
-        monkeypatch.setattr(naswot.scoring, "_BLOCK_BYTES", codes.words[0].nbytes * pairs_per_step(n))
+        monkeypatch.setattr(naswot.scoring, "_BLOCK_BYTES", 2 * codes.words[0].nbytes * pairs_per_step(n))
         assert np.array_equal(hamming_kernel(codes), codes.n_units - want)
 
 
@@ -270,9 +317,9 @@ class TestForwardSplit:
         they check the split path too."""
         seen = []
 
-        def recording(n, nbytes, work, scratch=None):
-            seen.append(nbytes >= layers._SPLIT_BYTES and min(layers._WORKERS, n) > 1)
-            return _split(n, nbytes, work, scratch)
+        def recording(n, nb, nbytes, work, scratch=None):
+            seen.append(nbytes >= layers._SPLIT_BYTES and min(layers._WORKERS, -(-n // nb)) > 1)
+            return _split(n, nb, nbytes, work, scratch)
 
         monkeypatch.setattr(layers, "_WORKERS", max(2, layers._WORKERS))
         monkeypatch.setattr(layers, "_split", recording)
@@ -342,7 +389,7 @@ def record_site(x) -> tuple:
 
 class TestRecorderBlocks:
     # _BLOCK_BYTES patched to hold one and two images of the site, so
-    # each part of 7 images reads several blocks, the last one short
+    # each part of 7 images reads several blocks
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("images_per_block", [1, 2])
     @pytest.mark.parametrize("site", [(3, 5, 5), (8, 4, 4)], ids=["unaligned", "word"])
@@ -353,7 +400,7 @@ class TestRecorderBlocks:
         for view in in_layouts(x):
             want_words, want = record_site(view)
             split_into(monkeypatch, workers)
-            monkeypatch.setattr(naswot.network, "_BLOCK_BYTES", images_per_block * view[0].nbytes)
+            monkeypatch.setattr(layers, "_BLOCK_BYTES", images_per_block * view[0].nbytes)
             words, activated = record_site(view)
             monkeypatch.undo()
             assert np.array_equal(words, want_words)
@@ -366,7 +413,7 @@ class TestRecorderBlocks:
         x = np.ones((6, 4, 4, 4), dtype=np.float32)
         x[2, 1, 0, 3] = bad  # in the first part's last block
         split_into(monkeypatch, workers)
-        monkeypatch.setattr(naswot.network, "_BLOCK_BYTES", x[0].nbytes)
+        monkeypatch.setattr(layers, "_BLOCK_BYTES", x[0].nbytes)
         with pytest.raises(NonFiniteActivation):
             _CodeRecorder(6, [(64, 1)]).record(x)
 
@@ -413,3 +460,56 @@ class TestFork:
                 child.kill()
         assert not child.is_alive() and child.exitcode == 0
         assert got == want and got.value == want.value
+
+
+# Run in a child whose BLAS picks OpenBLAS's AVX2 (Haswell) kernels, on
+# which an SGEMM row's bits change with the call's row count and the
+# row's offset: the conv at the full stage-1 shape, and a full-preset
+# forward at batch 128, at 1 and at 2 parts.
+KERNEL_FAMILY_CHILD = """
+import ctypes, json, sys
+import numpy as np
+import naswot.layers as layers
+from naswot.benchdata import random_normal_batch
+from naswot.network import NetworkConfig, build_network, forward_collect_codes
+from naswot.searchspace import parse_arch
+
+def core():
+    with open("/proc/self/maps", encoding="utf-8") as maps:
+        libs = {line.split()[-1] for line in maps if "openblas" in line and ".so" in line}
+    for lib in sorted(libs):
+        name = getattr(ctypes.CDLL(lib), "scipy_openblas_get_corename64_", None)
+        if name is not None:
+            name.restype = ctypes.c_char_p
+            return name().decode()
+
+rng = np.random.default_rng(0)
+x = rng.standard_normal((128, 16, 32, 32), dtype=np.float32)
+weights = rng.standard_normal((16, 16, 3, 3), dtype=np.float32)
+config = NetworkConfig()
+net = build_network(parse_arch(sys.argv[1]), config)
+batch = random_normal_batch((128, *config.input_shape), 0)
+got = {}
+for workers in (1, 2):
+    layers._WORKERS = workers
+    got[workers] = layers.conv2d(x, weights, 1, 1), forward_collect_codes(net, batch).words
+print(json.dumps({
+    "core": core(),
+    "conv_bits_differ": int(np.sum(got[1][0].view(np.uint32) != got[2][0].view(np.uint32))),
+    "code_bits_differ": int(np.bitwise_count(got[1][1] ^ got[2][1]).sum()),
+}))
+"""
+
+
+class TestKernelFamilies:
+    def test_codes_do_not_depend_on_the_part_count_on_avx2_kernels(self):
+        src = str(Path(naswot.network.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", KERNEL_FAMILY_CHILD, MIXED[0]], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        if got["core"] != "Haswell":
+            pytest.skip(f"OpenBLAS ran its {got['core']} kernels, not Haswell")
+        assert (got["conv_bits_differ"], got["code_bits_differ"]) == (0, 0)
