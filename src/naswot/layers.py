@@ -241,8 +241,12 @@ def conv2d(x: np.ndarray, weights: np.ndarray, stride: int = 1, padding: int = 0
 
     def scratch(start: int, stop: int) -> tuple:
         """A part's padded block (in memory as (C_in, h, w, b) when the
-        batch is innermost), im2col buffer and GEMM buffer."""
-        b = min(nb, stop - start)
+        batch is innermost), im2col buffer and GEMM buffer.  They hold a
+        full _BLOCK_BYTES block, not just the evened one, so a shape asks
+        malloc for the same sizes whatever n: sized to the evened blocks
+        (64 images, not 113, at desk batch 128), they had glibc trim and
+        re-fault its heap on about one desk scoring call in ten."""
+        b = min(max(1, _BLOCK_BYTES // max(1, k * m * x.itemsize)), stop - start)
         if not batch_inner:
             return np.zeros((c_in, b, h, w), dtype=x.dtype), np.empty(k * b * m, dtype=x.dtype), None
         return (np.zeros((c_in, h, w, b), dtype=x.dtype).transpose(0, 3, 1, 2),
