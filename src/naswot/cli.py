@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import math
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -30,7 +27,7 @@ from .benchdata import EvaluatorMiss, EvaluatorTable, load_benchmark_csv, load_c
 from .network import Network, NetworkConfig, NonFiniteActivation, build_network, forward_collect_codes
 from .scoring import ScoreStatus, Score, hamming_kernel, logdet_score, make_scorer, normalize_kernel
 from .search import SearchResult, area_search, naswot_search, rea_search
-from .searchspace import as_generator, parse_arch, sample_uniform
+from .searchspace import parse_arch
 from .stats import ABLATION_MODES, ablation_run, correlate_space, normal_batch_factory, normalize_by_min
 
 __all__ = ["main"]
@@ -335,20 +332,7 @@ def _cmd_search(settings: dict) -> int:
     if settings["n"] < 1:
         raise ValueError("--n must be at least 1")
     config, batch = _config_and_batch(settings)
-    scorer = make_scorer(config, batch)
-    start = time.perf_counter()
-    # draw the sample sequence, score each distinct genotype once, then
-    # replay the draws; the outcome does not depend on jobs
-    gen = as_generator(settings["_arch_seed"])
-    drawn = [sample_uniform(gen) for _ in range(settings["n"])]
-    unique = list(dict.fromkeys(drawn))
-    if jobs == 1:
-        memo = dict(zip(unique, map(scorer, unique)))
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            memo = dict(zip(unique, pool.map(scorer, unique)))
-    result = naswot_search(settings["n"], memo.__getitem__, settings["_arch_seed"], candidates=drawn)
-    result = dataclasses.replace(result, wall_time=time.perf_counter() - start)
+    result = naswot_search(settings["n"], make_scorer(config, batch), settings["_arch_seed"], jobs=jobs)
     _report_search(settings, result, with_accuracy=False)
     return 0
 

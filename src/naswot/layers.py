@@ -157,7 +157,9 @@ def _split(n: int, nb: int, nbytes: int, work, scratch=None) -> None:
     if not blocks:
         return
     parts = min(_WORKERS, len(blocks)) if nbytes >= _SPLIT_BYTES else 1
-    runs = [blocks[len(blocks) * p // parts:len(blocks) * (p + 1) // parts] for p in range(parts)]
+    # part p starts at the block index nearest len(blocks) * p / parts
+    cuts = [(2 * len(blocks) * p + parts) // (2 * parts) for p in range(parts + 1)]
+    runs = [blocks[cuts[p]:cuts[p + 1]] for p in range(parts)]
     args = [(scratch(run[0][0], run[-1][1]),) if scratch else () for run in runs]
     errors = [None] * parts
 

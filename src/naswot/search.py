@@ -4,13 +4,14 @@ Three drivers share one result type:
 
 * naswot_search: sample-and-score.  Draw N genotypes uniformly with
   replacement (or scan a caller-supplied candidate list), score each
-  once on a fixed batch, return the highest-scoring one.  No training.
+  distinct one once on a fixed batch, one draw at a time or, with
+  ``jobs`` > 1, on threads, and return the best one.  No training.
 * rea_search: regularized (aging) evolution against an accuracy
   evaluator.  Tournament parent selection, single-edge mutation, the
   oldest member dies each step.
 * area_search: evolution warm-started by the score.  Score a pool of
-  pool_size random genotypes, keep the top population_size as the
-  initial population, then evolve exactly as rea_search does.
+  pool_size random genotypes with naswot_search, keep the top
+  population_size as the initial population, then evolve as rea_search does.
 
 Scores and accuracies never mix: the score only picks the starting
 population, and evolution compares accuracies only.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -67,15 +68,22 @@ def naswot_search(
     scorer: Scorer,
     rng,
     *,
-    candidates: Optional[Sequence[Genotype]] = None,
+    candidates: Optional[Iterable[Genotype]] = None,
+    jobs: int = 1,
 ) -> SearchResult:
     """Score sampled (or given) genotypes, return the best.
 
-    With ``candidates`` the list is scanned in order instead of
+    With ``candidates`` the iterable is scanned in order instead of
     sampling; ``sample_count`` is ignored then.  Repeated genotypes are
     scored once (the score is a pure function of the genotype for a
-    fixed scorer) and the earliest draw of the best score wins.
+    fixed scorer) and the earliest draw of the best score wins.  At
+    ``jobs=1`` each draw is scored before the next is taken.  Above 1
+    the whole pass is drawn first, and its distinct genotypes are scored
+    in draw order on ``jobs`` threads, so the scorer must be thread-safe.
+    ``wall_time`` covers drawing and scoring.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
     start = time.perf_counter()
     gen = as_generator(rng)
     if candidates is None:
@@ -86,6 +94,14 @@ def naswot_search(
         pool = iter(candidates)
 
     memo: dict[Genotype, Score] = {}
+    if jobs > 1:
+        # imported here: it loads logging, which ``import naswot`` need not
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = list(pool)
+        unique = list(dict.fromkeys(pool))
+        with ThreadPoolExecutor(jobs) as executor:
+            memo = dict(zip(unique, executor.map(scorer, unique)))
     history: list[Candidate] = []
     best: Optional[Candidate] = None
     for birth, genotype in enumerate(pool):
@@ -175,10 +191,10 @@ def area_search(
 ) -> SearchResult:
     """Score-assisted evolution: seed the population from a scored pool.
 
-    Draws ``pool_size`` genotypes, scores each, and keeps the
-    ``population_size`` best scores (ties broken toward the earlier
-    draw) as the starting population; evolution then proceeds exactly
-    as in rea_search.  The scored pool is returned in ``pool``;
+    Draws ``pool_size`` genotypes, scores them with naswot_search, and
+    keeps the ``population_size`` best scores (ties broken toward the
+    earlier draw) as the starting population; evolution then proceeds
+    exactly as in rea_search.  The scored pool is returned in ``pool``;
     ``history`` holds evaluated candidates only.
     """
     _check_evo_args(population_size, tournament_size, budget_evals)
@@ -187,10 +203,7 @@ def area_search(
     start = time.perf_counter()
     gen = as_generator(rng)
 
-    pool = [
-        Candidate(genotype=(g := sample_uniform(gen)), birth=birth, score=scorer(g))
-        for birth in range(pool_size)
-    ]
+    pool = naswot_search(pool_size, scorer, gen).history
     ranked = sorted(pool, key=lambda c: (c.score, -c.birth), reverse=True)
     retained = sorted(ranked[:population_size], key=lambda c: c.birth)
 
@@ -208,7 +221,7 @@ def area_search(
         chosen=chosen,
         history=tuple(history),
         wall_time=time.perf_counter() - start,
-        pool=tuple(pool),
+        pool=pool,
     )
 
 

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import naswot
 from naswot.scoring import Score, ScoreStatus
-from naswot.search import area_search, naswot_search, rea_search
+from naswot.search import Candidate, area_search, naswot_search, rea_search
 from naswot.searchspace import Genotype, OpKind, enumerate_all, sample_uniform
 
 from oracles import synthetic_accuracy
@@ -43,17 +50,65 @@ class TestNaswotSearch:
         result = naswot_search(10, lambda g: Score.invalid(ScoreStatus.SINGULAR), 3)
         assert result.chosen.birth == 0
 
-    def test_duplicates_scored_once(self):
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_duplicates_scored_once(self, jobs):
         calls = []
 
         def counting(genotype):
             calls.append(genotype)
             return synthetic_score(genotype)
 
-        candidates = [Genotype.uniform(OpKind.IDENTITY)] * 5 + [Genotype.uniform(OpKind.CONV_3X3)] * 5
-        result = naswot_search(0, counting, 0, candidates=candidates)
-        assert len(calls) == 2
-        assert len(result.history) == 10
+        identity, conv = Genotype.uniform(OpKind.IDENTITY), Genotype.uniform(OpKind.CONV_3X3)
+        candidates = [identity, conv, identity] * 3 + [conv]
+        result = naswot_search(0, counting, 0, candidates=candidates, jobs=jobs)
+        assert sorted(calls, key=str) == sorted([identity, conv], key=str)
+        assert [c.genotype for c in result.history] == candidates
+        assert result.chosen == naswot_search(0, synthetic_score, 0, candidates=candidates).chosen
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_sampled_search_same_at_every_jobs(self, jobs):
+        serial = naswot_search(60, synthetic_score, 5)
+        parallel = naswot_search(60, synthetic_score, 5, jobs=jobs)
+        assert (parallel.chosen, parallel.history) == (serial.chosen, serial.history)
+
+    def test_one_job_draws_each_candidate_just_before_scoring_it(self):
+        """A caller's generator (perfbench checks its deadline in one) is
+        consumed one draw per score, not drawn ahead."""
+        space = [Genotype.uniform(op) for op in OpKind]
+        events = []
+
+        def draws():
+            for genotype in space:
+                events.append(("draw", genotype))
+                yield genotype
+
+        def scorer(genotype):
+            events.append(("score", genotype))
+            return synthetic_score(genotype)
+
+        naswot_search(0, scorer, 0, candidates=draws())
+        assert events == [event for g in space for event in (("draw", g), ("score", g))]
+
+    def test_scorer_error_on_a_thread_is_raised_and_no_thread_outlives_it(self):
+        failing = Genotype.uniform(OpKind.CONV_3X3)
+        error = ZeroDivisionError("no score")
+
+        def scorer(genotype):
+            if genotype == failing:
+                raise error
+            return synthetic_score(genotype)
+
+        candidates = [Genotype.uniform(op) for op in OpKind] * 4
+        before = set(threading.enumerate())
+        with pytest.raises(ZeroDivisionError) as raised:
+            naswot_search(0, scorer, 0, candidates=candidates, jobs=2)
+        assert raised.value is error
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("jobs", [0, -2, True, False, 2.0])
+    def test_jobs_validated(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            naswot_search(3, synthetic_score, 0, jobs=jobs)
 
     def test_deterministic_given_seed(self):
         a = naswot_search(30, synthetic_score, 11)
@@ -61,12 +116,21 @@ class TestNaswotSearch:
         assert a.chosen.genotype == b.chosen.genotype
         assert [c.genotype for c in a.history] == [c.genotype for c in b.history]
 
-    def test_candidate_list_equals_bruteforce_argmax(self):
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_candidate_list_equals_bruteforce_argmax(self, jobs):
         space = list(enumerate_all(ops=(OpKind.ZEROISE, OpKind.IDENTITY, OpKind.CONV_3X3)))
-        result = naswot_search(0, synthetic_score, 0, candidates=space)
+        calls = []
+
+        def counting(genotype):
+            calls.append(genotype)
+            return synthetic_score(genotype)
+
+        result = naswot_search(0, counting, 0, candidates=space, jobs=jobs)
         best = max(space, key=lambda g: (synthetic_score(g), -space.index(g)))
         assert result.chosen.genotype == best
         assert len(result.history) == 729
+        assert len(calls) == 729 and set(calls) == set(space)
+        assert [c.score for c in result.history] == [synthetic_score(g) for g in space]
 
     def test_never_selects_singular_when_valid_exists(self):
         zero = Genotype.uniform(OpKind.ZEROISE)
@@ -182,8 +246,36 @@ class TestAreaSearch:
         with pytest.raises(ValueError):
             area_search(synthetic_score, synthetic_accuracy, 5, 10, 5, 20, 0)
 
+    def test_repeated_pool_draw_scored_once(self):
+        calls = []
+
+        def counting(genotype):
+            calls.append(genotype)
+            return synthetic_score(genotype)
+
+        result = area_search(counting, synthetic_accuracy, 300, 10, 5, 10, 4)
+        drawn = [c.genotype for c in result.pool]
+        assert len(set(drawn)) < len(drawn)  # seed 4 repeats draws in a pool of 300
+        assert len(calls) == len(set(calls)) == len(set(drawn))
+        # the same Candidates as scoring each draw in turn
+        gen = np.random.default_rng(4)
+        each = [Candidate(genotype=(g := sample_uniform(gen)), birth=birth, score=synthetic_score(g))
+                for birth in range(300)]
+        assert list(result.pool) == each
+
     def test_deterministic_given_seed(self):
         a = area_search(synthetic_score, synthetic_accuracy, 16, 8, 4, 30, 21)
         b = area_search(synthetic_score, synthetic_accuracy, 16, 8, 4, 30, 21)
         assert a.chosen.genotype == b.chosen.genotype
         assert [c.genotype for c in a.pool] == [c.genotype for c in b.pool]
+
+
+def test_import_does_not_load_the_executor():
+    """``concurrent.futures`` loads ``logging``: a search loads it only
+    when it scores on threads, so ``import naswot`` stays cheap."""
+    src = str(Path(naswot.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = "import sys, naswot; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

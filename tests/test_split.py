@@ -86,6 +86,21 @@ class TestSplitHelper:
         if n % nb == 0:  # even blocks of nb: parts are cut at multiples of nb
             assert {start % nb for start, _ in blocks[1]} == {0}
 
+    def test_parts_cut_at_the_block_nearest_an_even_share(self, monkeypatch):
+        """The full stage-1 3x3 conv: 128 images in 43 blocks of 2-3 split
+        65 + 63, not 62 + 66; the longer part sets the call's time."""
+        split_into(monkeypatch, 2)
+        caller = threading.get_ident()
+        images = {True: 0, False: 0}
+        lock = threading.Lock()
+
+        def work(start, stop):
+            with lock:
+                images[threading.get_ident() == caller] += stop - start
+
+        _split(128, 3, 1, work)
+        assert (images[True], images[False]) == (65, 63)
+
     def test_small_calls_stay_one_part(self, monkeypatch):
         split_into(monkeypatch, 2, min_bytes=100)
         seen = []
