@@ -6,6 +6,8 @@ Three drivers share one result type:
   replacement (or scan a caller-supplied candidate list), score each
   distinct one once on a fixed batch, one draw at a time or, with
   ``jobs`` > 1, on threads, and return the best one.  No training.
+  It is the one scoring path: area_search scores its pool and
+  ``stats.correlate_space`` its picks through it.
 * rea_search: regularized (aging) evolution against an accuracy
   evaluator.  Tournament parent selection, single-edge mutation, the
   oldest member dies each step.
@@ -13,14 +15,18 @@ Three drivers share one result type:
   pool_size random genotypes with naswot_search, keep the top
   population_size as the initial population, then evolve as rea_search does.
 
+The two evolutions differ only in their initial population: both hand
+it to one run that evaluates it, evolves it and builds the result.
 Scores and accuracies never mix: the score only picks the starting
-population, and evolution compares accuracies only.
+population, and evolution compares accuracies only.  Every count
+argument must be an int, not a bool; a bad one raises ValueError
+naming it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -82,13 +88,11 @@ def naswot_search(
     in draw order on ``jobs`` threads, so the scorer must be thread-safe.
     ``wall_time`` covers drawing and scoring.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be an int of at least 1, got {jobs!r}")
+    _check_count("jobs", jobs, 1)
     start = time.perf_counter()
     gen = as_generator(rng)
     if candidates is None:
-        if sample_count < 1:
-            raise ValueError("sample_count must be positive")
+        _check_count("sample_count", sample_count, 1, "sample_count must be positive")
         pool = (sample_uniform(gen) for _ in range(sample_count))
     else:
         pool = iter(candidates)
@@ -132,22 +136,29 @@ def _evolve(
     population: list[Candidate],
     evaluator: Evaluator,
     tournament_size: int,
-    child_evals: int,
+    budget_evals: int,
     next_birth: int,
     gen: np.random.Generator,
-    history: list[Candidate],
-) -> None:
-    for step in range(child_evals):
+    start: float,
+    pool: tuple[Candidate, ...] = (),
+) -> SearchResult:
+    """Evaluate the initial population in birth order, evolve it until
+    ``budget_evals`` evaluations, and return the run's result.
+
+    Children are numbered from ``next_birth``.  The chosen candidate is
+    the highest accuracy ever evaluated, the earliest birth on ties.
+    """
+    population = [replace(c, accuracy=evaluator(c.genotype)) for c in population]
+    history = list(population)
+    for birth in range(next_birth, next_birth + budget_evals - len(population)):
         parent = _tournament_best(population, tournament_size, gen)
-        child_genotype = mutate(parent.genotype, gen)
-        child = Candidate(
-            genotype=child_genotype,
-            birth=next_birth + step,
-            accuracy=evaluator(child_genotype),
-        )
+        genotype = mutate(parent.genotype, gen)
+        child = Candidate(genotype=genotype, birth=birth, accuracy=evaluator(genotype))
         population.append(child)
         population.pop(0)  # aging: the oldest member dies, fitness ignored
         history.append(child)
+    chosen = max(history, key=lambda c: (c.accuracy, -c.birth))
+    return SearchResult(chosen=chosen, history=tuple(history), wall_time=time.perf_counter() - start, pool=pool)
 
 
 def rea_search(
@@ -167,17 +178,8 @@ def rea_search(
     _check_evo_args(population_size, tournament_size, budget_evals)
     start = time.perf_counter()
     gen = as_generator(rng)
-
-    population: list[Candidate] = []
-    for birth in range(population_size):
-        genotype = sample_uniform(gen)
-        population.append(Candidate(genotype=genotype, birth=birth, accuracy=evaluator(genotype)))
-    history = list(population)
-    _evolve(population, evaluator, tournament_size, budget_evals - population_size,
-            population_size, gen, history)
-
-    chosen = max(history, key=lambda c: (c.accuracy, -c.birth))
-    return SearchResult(chosen=chosen, history=tuple(history), wall_time=time.perf_counter() - start)
+    population = [Candidate(genotype=sample_uniform(gen), birth=birth) for birth in range(population_size)]
+    return _evolve(population, evaluator, tournament_size, budget_evals, population_size, gen, start)
 
 
 def area_search(
@@ -198,37 +200,30 @@ def area_search(
     ``history`` holds evaluated candidates only.
     """
     _check_evo_args(population_size, tournament_size, budget_evals)
-    if pool_size < population_size:
-        raise ValueError("pool_size must be at least population_size")
+    _check_count("pool_size", pool_size, population_size, "pool_size must be at least population_size")
     start = time.perf_counter()
     gen = as_generator(rng)
 
     pool = naswot_search(pool_size, scorer, gen).history
     ranked = sorted(pool, key=lambda c: (c.score, -c.birth), reverse=True)
     retained = sorted(ranked[:population_size], key=lambda c: c.birth)
+    return _evolve(retained, evaluator, tournament_size, budget_evals, pool_size, gen, start, pool)
 
-    population = [
-        Candidate(genotype=c.genotype, birth=c.birth, score=c.score,
-                  accuracy=evaluator(c.genotype))
-        for c in retained
-    ]
-    history = list(population)
-    _evolve(population, evaluator, tournament_size, budget_evals - population_size,
-            pool_size, gen, history)
 
-    chosen = max(history, key=lambda c: (c.accuracy, -c.birth))
-    return SearchResult(
-        chosen=chosen,
-        history=tuple(history),
-        wall_time=time.perf_counter() - start,
-        pool=pool,
-    )
+def _check_count(name: str, value, least: int, message: Optional[str] = None, *, most: Optional[int] = None) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, in
+    [``least``, ``most``]: a value of another type gets a message naming
+    ``name``, an int out of range ``message`` (by default the same one).
+    """
+    default = f"{name} must be an int of at least {least}, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(default)
+    if value < least or (most is not None and value > most):
+        raise ValueError(message or default)
 
 
 def _check_evo_args(population_size: int, tournament_size: int, budget_evals: int) -> None:
-    if population_size < 2:
-        raise ValueError("population_size must be at least 2")
-    if not 1 <= tournament_size <= population_size:
-        raise ValueError("tournament_size must be in [1, population_size]")
-    if budget_evals < population_size:
-        raise ValueError("budget_evals must cover the initial population")
+    _check_count("population_size", population_size, 2, "population_size must be at least 2")
+    _check_count("tournament_size", tournament_size, 1, "tournament_size must be in [1, population_size]",
+                 most=population_size)
+    _check_count("budget_evals", budget_evals, population_size, "budget_evals must cover the initial population")

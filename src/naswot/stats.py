@@ -4,7 +4,8 @@ kendall_tau is the tie-corrected (tau-b) statistic, computed with
 integer concordance counts so it matches a pair-enumeration oracle
 bit for bit.  correlate_space joins the scores of a genotype -> Score
 scorer (the one ``make_scorer`` returns and the searches take) against
-a trained accuracy table.  ablation_run rescores one genotype while
+a trained accuracy table: it looks up every pick's accuracy first, then
+scores the picks through ``naswot_search``.  ablation_run rescores one genotype while
 varying a single factor (data batch, input distribution, weight init,
 or batch size); normalize_by_min rescales its Score groups for
 cross-batch-size comparison.
@@ -21,6 +22,7 @@ import numpy as np
 from .benchdata import EvaluatorTable, random_normal_batch
 from .network import NetworkConfig
 from .scoring import Score, score_network
+from .search import _check_count, naswot_search
 from .searchspace import Genotype, as_generator, parse_arch
 
 __all__ = [
@@ -137,26 +139,23 @@ def correlate_space(
 
     Samples ``sample_n`` architectures from the table without
     replacement (over the sorted key domain, so the draw is a pure
-    function of the seed), scores each with ``scorer(genotype)``,
-    and returns Kendall's tau between valid scores and the chosen
-    accuracy metric.
+    function of the seed), looks up each one's chosen accuracy metric
+    (so a missing value raises EvaluatorMiss before any score), scores
+    the picks in draw order with ``naswot_search`` over them, and
+    returns Kendall's tau between valid scores and the accuracies.
     """
-    if not 1 <= sample_n <= len(table):
-        raise ValueError(f"sample_n must be in [1, {len(table)}]")
+    _check_count("sample_n", sample_n, 1, f"sample_n must be in [1, {len(table)}]", most=len(table))
     gen = as_generator(rng)
     domain = table.archs()
-    picks = gen.choice(len(domain), size=sample_n, replace=False)
-    accuracy_of = table.evaluator(metric)
-
-    rows = []
-    for idx in picks:
-        arch = domain[int(idx)]
-        genotype = parse_arch(arch)
-        rows.append(CorrelationRow(arch=arch, score=scorer(genotype),
-                                   accuracy=accuracy_of(genotype)))
+    archs = [domain[int(idx)] for idx in gen.choice(len(domain), size=sample_n, replace=False)]
+    genotypes = [parse_arch(arch) for arch in archs]
+    accuracies = list(map(table.evaluator(metric), genotypes))
+    scored = naswot_search(0, scorer, gen, candidates=genotypes).history
+    rows = tuple(CorrelationRow(arch=arch, score=c.score, accuracy=accuracy)
+                 for arch, c, accuracy in zip(archs, scored, accuracies))
     valid = [(r.score.value, r.accuracy) for r in rows if r.score.is_valid]
     tau = kendall_tau([v for v, _ in valid], [a for _, a in valid])
-    return CorrelationReport(tau=tau, rows=tuple(rows), excluded_count=len(rows) - len(valid))
+    return CorrelationReport(tau=tau, rows=rows, excluded_count=len(rows) - len(valid))
 
 
 def normal_batch_factory(config: NetworkConfig) -> BatchFactory:
@@ -186,8 +185,7 @@ def ablation_run(
     """
     if mode not in ABLATION_MODES:
         raise ValueError(f"mode must be one of {ABLATION_MODES}, got {mode!r}")
-    if repeats < 2:
-        raise ValueError("repeats must be at least 2")
+    _check_count("repeats", repeats, 2, "repeats must be at least 2")
     if batch_factory is None or mode == "random_inputs":
         batch_factory = normal_batch_factory(config)
     if mode == "batch_sizes":

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import io
 import pkgutil
@@ -170,6 +171,27 @@ class TestEvolutionCommands:
         run(capsys, *args, "--out", str(a))
         run(capsys, *args, "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("args,stdout_sha256,log_sha256", [
+        (["--seed", "1", "--pop", "10", "--tournament", "5", "--budget", "200"],
+         "793f86278e882cc4747e263f8fff2fe12aa624b13b3aa09364fe61902caa5ff2",
+         "4364164e78c814d9082b26d0b4e788d22cf6c6df72ebcfca50af31aee3e0e1cd"),
+        (["--seed", "7", "--pop", "6", "--tournament", "3", "--seconds", "90", "--eval-cost", "1",
+          "--metric", "test_acc"],
+         "dcfee942b399661d11a6999906c8a153512353cea310321a8e30cd9290df5080",
+         "669d8d4b92fe5c40550655b4114eaf7071d4fe9d6e24110a5c4ff8dacdcde5a5"),
+    ], ids=["budget", "seconds-test-acc"])
+    def test_rea_output_bytes_pinned(self, capsys, tmp_path, monkeypatch, full_bench_csv,
+                                     args, stdout_sha256, log_sha256):
+        """rea's stdout (bar walltime) and run log, pinned by digest.  rea
+        builds no network, so they hold on every BLAS kernel family."""
+        monkeypatch.chdir(full_bench_csv.parent)  # the log echoes --bench as given
+        log = tmp_path / "rea.csv"
+        code, out, _ = run(capsys, "rea", "--bench", full_bench_csv.name, *args, "--out", str(log))
+        assert code == 0
+        kept = "".join(l for l in out.splitlines(keepends=True) if not l.startswith("walltime "))
+        assert hashlib.sha256(kept.encode()).hexdigest() == stdout_sha256
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == log_sha256
 
     def test_rea_missing_arch_names_it(self, capsys, tmp_path):
         bench = tmp_path / "tiny.csv"

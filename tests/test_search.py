@@ -140,8 +140,11 @@ class TestNaswotSearch:
         assert result.chosen.score.is_valid
 
     def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^sample_count must be positive$"):
             naswot_search(0, synthetic_score, 0)
+        for count in (True, 2.5, 3.0, "3"):
+            with pytest.raises(ValueError, match=f"^sample_count must be an int of at least 1, got {count!r}$"):
+                naswot_search(count, synthetic_score, 0)
 
 
 class TestReaSearch:
@@ -152,9 +155,17 @@ class TestReaSearch:
         assert {c.birth for c in result.history} == set(range(10))
 
     def test_history_length_equals_budget(self):
-        result = rea_search(synthetic_accuracy, 10, 5, 64, 7)
+        calls = []
+
+        def counting(genotype):
+            calls.append(genotype)
+            return synthetic_accuracy(genotype)
+
+        result = rea_search(counting, 10, 5, 64, 7)
         assert len(result.history) == 64
         assert [c.birth for c in result.history] == list(range(64))
+        # one call per evaluation: the initial members in birth order, then the children
+        assert calls == [c.genotype for c in result.history]
 
     def test_children_are_single_edge_mutants(self):
         # every evolved child must differ from some member of the
@@ -186,12 +197,17 @@ class TestReaSearch:
         assert hits >= 95
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^population_size must be at least 2$"):
             rea_search(synthetic_accuracy, 1, 1, 5, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^tournament_size must be in \[1, population_size\]$"):
             rea_search(synthetic_accuracy, 10, 11, 20, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^budget_evals must cover the initial population$"):
             rea_search(synthetic_accuracy, 10, 5, 9, 0)
+        for name, args in [("population_size", (10.0, 5, 30)), ("population_size", (True, 1, 30)),
+                           ("tournament_size", (10, 5.0, 30)), ("budget_evals", (10, 5, 30.5)),
+                           ("budget_evals", (10, 5, np.float64(30)))]:
+            with pytest.raises(ValueError, match=f"^{name} must be an int of at least "):
+                rea_search(synthetic_accuracy, *args, 0)
 
     def test_evaluator_errors_propagate(self):
         def explode(genotype):
@@ -203,7 +219,15 @@ class TestReaSearch:
 
 class TestAreaSearch:
     def test_pool_and_history_structure(self):
-        result = area_search(synthetic_score, synthetic_accuracy, 20, 10, 5, 25, 9)
+        calls = []
+
+        def counting(genotype):
+            calls.append(genotype)
+            return synthetic_accuracy(genotype)
+
+        result = area_search(synthetic_score, counting, 20, 10, 5, 25, 9)
+        # one call per evaluation: the retained members in birth order, then the children
+        assert calls == [c.genotype for c in result.history]
         assert len(result.pool) == 20
         assert [c.birth for c in result.pool] == list(range(20))
         assert len(result.history) == 25
@@ -243,8 +267,11 @@ class TestAreaSearch:
             assert candidate.accuracy is not None
 
     def test_pool_smaller_than_population_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^pool_size must be at least population_size$"):
             area_search(synthetic_score, synthetic_accuracy, 5, 10, 5, 20, 0)
+        for pool_size in (20.0, True):
+            with pytest.raises(ValueError, match=f"^pool_size must be an int of at least 10, got {pool_size!r}$"):
+                area_search(synthetic_score, synthetic_accuracy, pool_size, 10, 5, 30, 0)
 
     def test_repeated_pool_draw_scored_once(self):
         calls = []

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from naswot.benchdata import BenchmarkRecord, EvaluatorTable
+from naswot.benchdata import BenchmarkRecord, EvaluatorMiss, EvaluatorTable
 from naswot.network import NetworkConfig
 from naswot.scoring import Score, ScoreStatus, score_network
-from naswot.searchspace import Genotype, OpKind, as_generator, sample_uniform
+from naswot.searchspace import Genotype, OpKind, as_generator, parse_arch, sample_uniform
 from naswot.stats import (
     ABLATION_BATCH_SIZES,
     AllSingularGroup,
@@ -134,10 +134,43 @@ class TestCorrelateSpace:
         values = self.valid_values()
         table = make_table([g for g in self.genotypes if str(g) in values],
                            list(np.linspace(10, 90, len(values))))
-        a = correlate_space(table, self.scorer, 5, 9)
+        calls = []
+
+        def counting(genotype):
+            calls.append(genotype)
+            return self.scorer(genotype)
+
+        a = correlate_space(table, counting, 5, 9)
         b = correlate_space(table, self.scorer, 5, 9)
         assert [r.arch for r in a.rows] == [r.arch for r in b.rows]
         assert a.tau == b.tau
+        # each pick is scored once, and its row is (arch, score, accuracy) in draw order
+        domain = table.archs()
+        archs = [domain[int(i)] for i in as_generator(9).choice(len(domain), size=5, replace=False)]
+        accuracy_of = table.evaluator()
+        assert calls == [parse_arch(arch) for arch in archs]
+        assert [(r.arch, r.score, r.accuracy) for r in a.rows] == [
+            (arch, self.scorer(parse_arch(arch)), accuracy_of(parse_arch(arch))) for arch in archs]
+
+    def test_missing_accuracy_raises_before_any_score(self):
+        """A pick with no value for the metric fails the run before the
+        scorer is called, with the message its lookup gives."""
+        domain = sorted(str(g) for g in self.genotypes)  # the table's key domain
+        picks = [domain[int(i)] for i in as_generator(3).choice(len(domain), size=10, replace=False)]
+        missing = {picks[4], picks[7]}  # a per-pick loop would score 5 picks before failing
+        table = EvaluatorTable(records={arch: BenchmarkRecord(arch, "cifar10", 50.0, None if arch in missing else 40.0)
+                                        for arch in domain}, dataset="cifar10")
+        assert table.archs() == domain
+        calls = []
+
+        def counting(genotype):
+            calls.append(genotype)
+            return self.scorer(genotype)
+
+        with pytest.raises(EvaluatorMiss) as raised:
+            correlate_space(table, counting, 10, 3, metric="test_acc")
+        assert raised.value.args == (f"arch {picks[4]!r} has no test_acc",)
+        assert calls == []
 
     def test_invalid_scores_excluded_but_reported(self):
         genotypes = self.genotypes[:4] + [Genotype.uniform(OpKind.ZEROISE)]
@@ -155,10 +188,13 @@ class TestCorrelateSpace:
 
     def test_sample_n_validated(self):
         table = make_table(self.genotypes[:3], [10.0, 20.0, 30.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sample_n must be in \[1, 3\]$"):
             correlate_space(table, self.scorer, 4, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sample_n must be in \[1, 3\]$"):
             correlate_space(table, self.scorer, 0, 0)
+        for count in (3.0, True):
+            with pytest.raises(ValueError, match=f"^sample_n must be an int of at least 1, got {count!r}$"):
+                correlate_space(table, self.scorer, count, 0)
 
 
 class TestAblationRun:
@@ -200,8 +236,11 @@ class TestAblationRun:
     def test_mode_and_repeats_validated(self):
         with pytest.raises(ValueError):
             ablation_run(self.genotype, self.cfg, "weights", 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^repeats must be at least 2$"):
             ablation_run(self.genotype, self.cfg, "inits", 1)
+        for repeats in (2.5, True):
+            with pytest.raises(ValueError, match=f"^repeats must be an int of at least 2, got {repeats!r}$"):
+                ablation_run(self.genotype, self.cfg, "inits", repeats)
 
 
 class TestNormalizeByMin:
