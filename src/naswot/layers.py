@@ -95,11 +95,16 @@ block pairs for the Hamming kernel, whose entries are integers.
 Batch-norm's two sums are not split: each channel's sum stays one
 sequence of additions, taken by the caller.  So each GEMM is the same
 call and no code bit or stride depends on the part count, on any BLAS
-kernel family: ``taskset`` to one CPU gives the same codes.
+kernel family: ``taskset`` to one CPU gives the same codes.  While a
+call runs in more than one part, BLAS is held at one thread
+(``_one_blas_thread``), so its own threads do not contend with the
+parts for the same CPUs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import os
 import threading
 
@@ -127,6 +132,61 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _SPLIT_BYTES = 4 << 20
 
 
+def _openblas(name: str, restype, *argtypes):
+    """The function ``name`` of the OpenBLAS that numpy's own LAPACK
+    calls (numpy's wheels bundle scipy-openblas), through ctypes; None
+    where numpy links a library without it."""
+    try:
+        fn = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
+    except (AttributeError, OSError):
+        return None
+    fn.restype, fn.argtypes = restype, argtypes
+    return fn
+
+
+_INT64_P = ctypes.POINTER(ctypes.c_int64)
+# LAPACK dpotrf(uplo, n, a, lda, info), 64-bit integers, and the hidden
+# length of the uplo string
+_DPOTRF = _openblas("scipy_dpotrf_64_", None, ctypes.c_char_p, _INT64_P, ctypes.c_void_p, _INT64_P,
+                    _INT64_P, ctypes.c_size_t)
+_GET_BLAS_THREADS = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+_SET_BLAS_THREADS = _openblas("scipy_openblas_set_num_threads64_", None, ctypes.c_int)
+
+# overlapping holders of _one_blas_thread, and the count the first one found
+_blas_lock = threading.Lock()
+_blas_holders = 0
+_blas_saved = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with BLAS at one thread, then restore the count.
+
+    OpenBLAS keeps one thread count per process (its
+    ``openblas_set_num_threads_local`` sets that count too), so holders
+    on several threads share one hold: the first saves the count and sets
+    1, the last restores it.  BLAS calls that other threads make in the
+    meantime run on one thread as well.  Without the symbols, a no-op.
+    """
+    global _blas_holders, _blas_saved
+    if _GET_BLAS_THREADS is None or _SET_BLAS_THREADS is None:
+        yield
+        return
+    with _blas_lock:
+        if not _blas_holders:
+            _blas_saved = _GET_BLAS_THREADS()
+            if _blas_saved != 1:
+                _SET_BLAS_THREADS(1)
+        _blas_holders += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holders -= 1
+            if not _blas_holders and _blas_saved != 1:
+                _SET_BLAS_THREADS(_blas_saved)
+
+
 def _images_per_block(n: int, image_bytes: int) -> int:
     """The most images a block of an n-image call holds, by the shape
     alone: the fewest blocks of about ``_BLOCK_BYTES``, evened out."""
@@ -147,7 +207,8 @@ def _split(n: int, nb: int, nbytes: int, work, scratch=None) -> None:
 
     A call touching fewer than ``_SPLIT_BYTES`` is one part.  Otherwise
     the caller starts one thread for each part after the first, runs the
-    first part itself and joins the threads.  With ``scratch``, a part's
+    first part itself and joins the threads, with BLAS held at one thread
+    throughout (``_one_blas_thread``).  With ``scratch``, a part's
     blocks run ``work(start, stop, scratch(a, b))``, a...b-1 the part's
     images, every part's buffers made by the caller first, so the threads
     allocate no large array.  Every part has finished before this returns
@@ -171,14 +232,15 @@ def _split(n: int, nb: int, nbytes: int, work, scratch=None) -> None:
             errors[part] = exc
 
     threads = [threading.Thread(target=run, args=(part,), name="naswot-split") for part in range(1, parts)]
-    try:
-        for thread in threads:
-            thread.start()
-        run(0)
-    finally:
-        for thread in threads:
-            if thread.is_alive():
-                thread.join()
+    with _one_blas_thread() if threads else contextlib.nullcontext():
+        try:
+            for thread in threads:
+                thread.start()
+            run(0)
+        finally:
+            for thread in threads:
+                if thread.is_alive():
+                    thread.join()
     error = next((exc for exc in errors if exc is not None), None)
     if error is not None:
         raise error

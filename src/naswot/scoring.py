@@ -13,6 +13,7 @@ holds N_A, so nothing else travels with it.
 
 from __future__ import annotations
 
+import ctypes
 import enum
 import functools
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .layers import _BLOCK_BYTES, _SPLIT_BYTES, _split
+from .layers import _BLOCK_BYTES, _DPOTRF, _SPLIT_BYTES, _one_blas_thread, _split
 from .network import (ActivationCodeMatrix, NetworkConfig, NonFiniteActivation, _check_batch, _weight_count,
                       _weight_stream, build_network, forward_collect_codes)
 from .searchspace import Genotype, OpKind
@@ -145,21 +146,39 @@ def normalize_kernel(kernel: np.ndarray) -> np.ndarray:
 def logdet_score(kernel: np.ndarray) -> Score:
     """ln det K via Cholesky: 2 * sum(log diag(L)).
 
-    A kernel that is numerically singular (Cholesky fails, or a factor
+    LAPACK's ``dpotrf`` from numpy's own OpenBLAS factors one C-ordered
+    float64 copy of K in place (the caller's array is untouched) at one
+    BLAS thread (``layers._one_blas_thread``), so the bits do not depend
+    on the BLAS thread count.  It reads the upper triangle, the
+    K[i, j] with j >= i, which is the lower triangle of the copy read in
+    Fortran order; for a symmetric K both are K.  Where numpy's BLAS
+    lacks those symbols (other numpy builds), ``np.linalg.cholesky``
+    factors the same triangle, and the bits may then follow the BLAS
+    thread count.
+
+    A kernel that is numerically singular (the factor fails, or a factor
     diagonal underflows to zero) yields a SINGULAR score; non-finite
     kernel entries yield NON_FINITE.  An input that is not a square
     matrix raises ValueError.
     """
-    matrix = np.asarray(kernel, dtype=np.float64)
+    matrix = np.array(kernel, dtype=np.float64, order="C")
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"kernel must be a square matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
         return Score.invalid(ScoreStatus.NON_FINITE)
-    try:
-        factor = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        return Score.invalid(ScoreStatus.SINGULAR)
-    diag = np.diagonal(factor)
+    n = len(matrix)
+    with _one_blas_thread():
+        if _DPOTRF is None:
+            try:
+                diag = np.diagonal(np.linalg.cholesky(matrix.T))
+            except np.linalg.LinAlgError:
+                return Score.invalid(ScoreStatus.SINGULAR)
+        else:
+            info = ctypes.c_int64()
+            _DPOTRF(b"L", ctypes.c_int64(n), matrix.ctypes.data, ctypes.c_int64(max(1, n)), info, 1)
+            if info.value:
+                return Score.invalid(ScoreStatus.SINGULAR)
+            diag = np.diagonal(matrix)
     if np.any(diag <= 0):
         return Score.invalid(ScoreStatus.SINGULAR)
     value = 2.0 * float(np.sum(np.log(diag)))

@@ -7,12 +7,14 @@ meaningful evidence rather than a tautology.  The pieces from
 vectorized conv, pool and batch-norm, which the faster ones must match
 bit for bit, the earlier code recorder, whose kernels the packing one
 must match, the earlier per-edge cell, whose kernels the fused one must
-match, and the earlier per-kernel weight draw, which the slices of one
-weight stream must match.  ``synthetic_accuracy`` is no oracle: it is
-the accuracy surrogate that the search tests and the table fixtures
-share.  ``unkept_score`` is no oracle either: it is the score taken
-the plain way, one fresh network and one fresh forward per call, which
-a scorer that keeps pieces across genotypes must match bit for bit.
+match, the earlier per-kernel weight draw, which the slices of one
+weight stream must match, and the earlier ln det, which the in-place
+factor must match on symmetric kernels.  ``synthetic_accuracy`` is no
+oracle: it is the accuracy surrogate that the search tests and the
+table fixtures share.  ``unkept_score`` is no oracle either: it is the
+score taken the plain way, one fresh network and one fresh forward per
+call, which a scorer that keeps pieces across genotypes must match bit
+for bit.
 """
 
 import math
@@ -20,6 +22,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from naswot.layers import _one_blas_thread
 from naswot.network import ActivationCodeMatrix, NonFiniteActivation, build_network, forward_collect_codes
 from naswot.scoring import Score, ScoreStatus, hamming_kernel, logdet_score
 from naswot.searchspace import OpKind
@@ -201,6 +204,27 @@ def batchnorm_float64_temporaries(x: np.ndarray, epsilon: float) -> np.ndarray:
     denom = np.sqrt(var + epsilon)
     safe = np.where(denom == 0.0, 1.0, denom)
     return (centered / safe[None, :, None, None]).astype(np.float32)
+
+
+def logdet_numpy_cholesky(kernel) -> Score:
+    """The ln det that ``logdet_score`` must match bit for bit on a
+    symmetric kernel: ``np.linalg.cholesky`` of the array as given,
+    which reads its lower triangle, at one BLAS thread."""
+    matrix = np.asarray(kernel, dtype=np.float64)
+    if not np.isfinite(matrix).all():
+        return Score.invalid(ScoreStatus.NON_FINITE)
+    try:
+        with _one_blas_thread():
+            factor = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        return Score.invalid(ScoreStatus.SINGULAR)
+    diag = np.diagonal(factor)
+    if np.any(diag <= 0):
+        return Score.invalid(ScoreStatus.SINGULAR)
+    value = 2.0 * float(np.sum(np.log(diag)))
+    if not np.isfinite(value):
+        return Score.invalid(ScoreStatus.SINGULAR)
+    return Score(value=value)
 
 
 class ChannelMajorRecorder:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,42 @@ def test_desk_search_reference_table_holds(workload):
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
     assert " 0 missed" in done.stdout.splitlines()[-1]
+
+
+# Scores every desk-wide-batch reference row through ``make_scorer`` in
+# a child whose BLAS runs two threads; the table is only read.
+BLAS_THREADS_CHILD = """
+import ctypes, json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from naswot import make_scorer, parse_arch, random_normal_batch
+from workloads import DEFAULT_SEED, WORKLOADS, load_reference
+
+blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+if not all(hasattr(blas, name) for name in ("scipy_dpotrf_64_", "scipy_openblas_get_num_threads64_")):
+    print(json.dumps({"skip": "numpy's BLAS lacks scipy_dpotrf_64_ or its thread count"}))
+    sys.exit()
+workload = WORKLOADS["desk-wide-batch"]
+rows = load_reference(workload)["rows"]
+scorer = make_scorer(workload.config(), random_normal_batch(workload.input_shape(), DEFAULT_SEED))
+equal = 0
+for arch, row in rows.items():
+    score = scorer(parse_arch(arch))
+    equal += [score.status.value, score.value if score.is_valid else None] == row
+print(json.dumps({"threads": blas.scipy_openblas_get_num_threads64_(), "rows": len(rows), "equal": equal}))
+"""
+
+
+def test_wide_batch_scores_do_not_depend_on_the_blas_thread_count():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS_CHILD, str(root / "perfbench")], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout.splitlines()[-1])
+    if "skip" in got:
+        pytest.skip(got["skip"])
+    if got["threads"] < 2:
+        pytest.skip("BLAS ran one thread: one CPU")
+    assert got["equal"] == got["rows"] == 40

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import naswot.network
+import naswot.scoring
 from naswot.benchdata import random_normal_batch
 from naswot.network import ActivationCodeMatrix, NetworkConfig, build_network, forward_collect_codes
 from naswot.scoring import (
@@ -22,7 +23,7 @@ from naswot.searchspace import Genotype, OpKind, as_generator, parse_arch, sampl
 
 from make_golden import MIXED, TABLES
 from oracles import (codes_from_bits, codes_from_sites, det_cofactor, kernel_per_bit, kernel_python_loops, logdet_lu,
-                     unkept_score, unpack_codes)
+                     logdet_numpy_cholesky, unkept_score, unpack_codes)
 
 EXAMPLE = "|nor_conv_3x3~0|+|none~0|skip_connect~1|+|avg_pool_3x3~0|nor_conv_1x1~1|skip_connect~2|"
 
@@ -159,6 +160,75 @@ class TestLogdet:
     def test_malformed_matrix_raises(self, shape):
         with pytest.raises(ValueError, match="square matrix"):
             logdet_score(np.ones(shape))
+
+
+def spd(n: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+# ln det's edge cases: empty, 1x1 positive, zero and negative, a
+# non-finite entry, Fortran order and integers
+EDGE_KERNELS = {
+    "empty": np.zeros((0, 0)),
+    "positive": np.array([[3.0]]),
+    "zero": np.array([[0.0]]),
+    "negative": np.array([[-2.0]]),
+    "inf": np.array([[1.0, np.inf], [np.inf, 1.0]]),
+    "fortran": np.asfortranarray(spd(5, 7)),
+    "int64": np.array([[4, 1], [1, 3]], dtype=np.int64),
+}
+EDGE_STATUS = {"empty": ScoreStatus.VALID, "positive": ScoreStatus.VALID, "zero": ScoreStatus.SINGULAR,
+               "negative": ScoreStatus.SINGULAR, "inf": ScoreStatus.NON_FINITE, "fortran": ScoreStatus.VALID,
+               "int64": ScoreStatus.VALID}
+
+
+@pytest.fixture(scope="module")
+def desk_kernels() -> list:
+    """The Hamming kernels of 12 desk genotypes at batch 128."""
+    config = NetworkConfig.desk()
+    batch = random_normal_batch((128, *config.input_shape), 0)
+    rng = as_generator(12)
+    genotypes = [parse_arch(arch) for arch in MIXED] + [sample_uniform(rng) for _ in range(12 - len(MIXED))]
+    return [hamming_kernel(forward_collect_codes(build_network(g, config), batch)) for g in genotypes]
+
+
+@pytest.fixture(params=[False, True], ids=["dpotrf", "fallback"])
+def factor_path(request, monkeypatch):
+    """Each ln det path: numpy's OpenBLAS ``dpotrf``, and
+    ``np.linalg.cholesky`` with the looked-up handle patched to None."""
+    if request.param:
+        monkeypatch.setattr(naswot.scoring, "_DPOTRF", None)
+    elif naswot.scoring._DPOTRF is None:
+        pytest.skip("numpy's BLAS has no scipy_dpotrf_64_")
+    return request.param
+
+
+class TestLogdetFactor:
+    @pytest.mark.parametrize("name", sorted(EDGE_KERNELS))
+    def test_edge_cases_score_as_numpy_cholesky_and_leave_the_input(self, factor_path, name):
+        kernel = EDGE_KERNELS[name]
+        before = kernel.copy(order="K")
+        score = logdet_score(kernel)
+        assert score.status is EDGE_STATUS[name]
+        assert score == logdet_numpy_cholesky(kernel)
+        assert kernel.dtype == before.dtype and kernel.strides == before.strides
+        assert np.array_equal(kernel, before)
+
+    def test_desk_kernels_score_numpy_choleskys_bits(self, factor_path, desk_kernels):
+        for kernel in desk_kernels:
+            before = kernel.copy()
+            score = logdet_score(kernel)
+            assert score.is_valid and score == logdet_numpy_cholesky(kernel)
+            assert np.array_equal(kernel, before)
+
+    def test_reads_the_upper_triangle(self, factor_path):
+        # K[i, j] for j >= i; np.linalg.cholesky of K as given reads the
+        # lower triangle
+        upper, lower = spd(6, 8), spd(6, 9)
+        mixed = np.triu(upper) + np.tril(lower, -1)
+        assert logdet_score(mixed) == logdet_score(upper)
+        assert logdet_score(mixed) != logdet_score(lower)
 
 
 class TestNormalize:

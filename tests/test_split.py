@@ -6,9 +6,11 @@ tests set them with ``monkeypatch`` to run the split path on small
 inputs, at part counts that leave uneven and one-image parts.
 """
 
+import contextlib
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -451,6 +453,128 @@ class TestUnitCountsSplit:
         net.stages[0][1].pop()
         with pytest.raises(RuntimeError, match="count_relu_units gives"):
             forward_collect_codes(net, random_normal_batch((4, *config.input_shape), 0))
+
+
+@contextlib.contextmanager
+def blas_threads(count: int):
+    """The process's BLAS thread count set to ``count`` for the block."""
+    before = layers._GET_BLAS_THREADS()
+    layers._SET_BLAS_THREADS(count)
+    try:
+        yield
+    finally:
+        layers._SET_BLAS_THREADS(before)
+
+
+@pytest.mark.skipif(layers._GET_BLAS_THREADS is None or layers._SET_BLAS_THREADS is None,
+                    reason="numpy's BLAS does not expose its thread count")
+class TestBlasThreads:
+    def test_a_score_restores_the_count(self, monkeypatch):
+        split_into(monkeypatch, 2)
+        config = NetworkConfig.desk()
+        batch = random_normal_batch((16, *config.input_shape), 3)
+        with blas_threads(2):
+            assert score_network(parse_arch(MIXED[0]), config, batch).is_valid
+            assert layers._GET_BLAS_THREADS() == 2
+
+    def test_ln_det_factors_at_one_thread(self, monkeypatch):
+        if layers._DPOTRF is None:
+            pytest.skip("numpy's BLAS has no scipy_dpotrf_64_")
+        seen = []
+
+        def dpotrf(*args):
+            seen.append(layers._GET_BLAS_THREADS())
+            return layers._DPOTRF(*args)
+
+        monkeypatch.setattr(naswot.scoring, "_DPOTRF", dpotrf)
+        a = np.random.default_rng(10).standard_normal((70, 70))  # dpotrf threads from n = 64 up
+        with blas_threads(2):
+            assert naswot.scoring.logdet_score(a @ a.T + 70 * np.eye(70)).is_valid
+            assert layers._GET_BLAS_THREADS() == 2
+        assert seen == [1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_split_calls_hold_one_thread_and_restore_the_count(self, monkeypatch, workers):
+        # a one-part call leaves BLAS its threads for the idle cores
+        split_into(monkeypatch, workers)
+        seen = []
+        with blas_threads(2):
+            _split(4, 1, 1, lambda start, stop: seen.append(layers._GET_BLAS_THREADS()))
+            assert layers._GET_BLAS_THREADS() == 2
+        assert seen == [1 if workers > 1 else 2] * 4
+
+    def test_a_raising_split_call_restores_the_count(self, monkeypatch):
+        split_into(monkeypatch, 2)
+
+        def work(start, stop):
+            if start:
+                raise ZeroDivisionError
+
+        with blas_threads(2):
+            with pytest.raises(ZeroDivisionError):
+                _split(2, 1, 1, work)
+            assert layers._GET_BLAS_THREADS() == 2
+
+    def test_holders_on_several_threads_share_one_hold(self):
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with layers._one_blas_thread():
+                held.set()
+                release.wait(5)
+
+        with blas_threads(2):
+            thread = threading.Thread(target=hold)
+            thread.start()
+            try:
+                assert held.wait(5)
+                with layers._one_blas_thread():
+                    assert layers._GET_BLAS_THREADS() == 1
+                # the other thread still holds
+                assert layers._GET_BLAS_THREADS() == 1
+            finally:
+                release.set()
+                thread.join()
+            assert layers._GET_BLAS_THREADS() == 2
+
+    def test_many_holders_racing_keep_one_thread_and_restore(self, monkeypatch):
+        # more threads than cores, each holding and letting go at random
+        # times, and letting the others run around each count it reads or
+        # sets: an unlocked holder count lets a hold run at two threads
+        counts, interval = [], sys.getswitchinterval()
+
+        def yielding(fn, rng):
+            def call(*args):
+                time.sleep(rng.uniform(0, 2e-4))
+                result = fn(*args)
+                time.sleep(rng.uniform(0, 2e-4))
+                return result
+            return call
+
+        def hold(seed: int):
+            rng = random.Random(seed)
+            for _ in range(100):
+                time.sleep(rng.uniform(0, 4e-4))
+                with layers._one_blas_thread():
+                    counts.append(layers._GET_BLAS_THREADS())
+
+        sys.setswitchinterval(1e-6)
+        try:
+            with blas_threads(2):
+                rng = random.Random(0)
+                monkeypatch.setattr(layers, "_GET_BLAS_THREADS", yielding(layers._GET_BLAS_THREADS, rng))
+                monkeypatch.setattr(layers, "_SET_BLAS_THREADS", yielding(layers._SET_BLAS_THREADS, rng))
+                threads = [threading.Thread(target=hold, args=(seed,)) for seed in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(30)
+                assert not any(thread.is_alive() for thread in threads)
+                assert layers._GET_BLAS_THREADS() == 2 and layers._blas_holders == 0
+                monkeypatch.undo()
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [1] * 400
 
 
 def _score_in_child(arch, batch, results) -> None:
