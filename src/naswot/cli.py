@@ -26,7 +26,7 @@ import numpy as np
 from .benchdata import EvaluatorMiss, EvaluatorTable, load_benchmark_csv, load_cifar10_batch
 from .network import Network, NetworkConfig, NonFiniteActivation, build_network, forward_collect_codes
 from .scoring import ScoreStatus, Score, hamming_kernel, logdet_score, make_scorer, normalize_kernel
-from .search import SearchResult, area_search, naswot_search, rea_search
+from .search import SearchResult, _check_count, area_search, naswot_search, rea_search
 from .searchspace import parse_arch
 from .stats import ABLATION_MODES, ablation_run, correlate_space, normal_batch_factory, normalize_by_min
 
@@ -326,13 +326,11 @@ def _cmd_dump_kernel(settings: dict) -> int:
 
 
 def _cmd_search(settings: dict) -> int:
-    jobs = settings["jobs"]
-    if jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {jobs}")
-    if settings["n"] < 1:
-        raise ValueError("--n must be at least 1")
+    jobs, n = settings["jobs"], settings["n"]
+    _check_count("jobs", jobs, 1, f"--jobs must be at least 1, got {jobs}")
+    _check_count("n", n, 1, "--n must be at least 1")
     config, batch = _config_and_batch(settings)
-    result = naswot_search(settings["n"], make_scorer(config, batch), settings["_arch_seed"], jobs=jobs)
+    result = naswot_search(n, make_scorer(config, batch), settings["_arch_seed"], jobs=jobs)
     _report_search(settings, result, with_accuracy=False)
     return 0
 

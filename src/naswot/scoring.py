@@ -89,7 +89,7 @@ class ZeroDiagonal(ValueError):
     """Kernel normalization hit a zero diagonal entry."""
 
 
-def hamming_kernel(codes: ActivationCodeMatrix) -> np.ndarray:
+def hamming_kernel(codes: ActivationCodeMatrix, *, upper: bool = False) -> np.ndarray:
     """The (N, N) float64 matrix K[i, j] = n_units - popcount(code_i XOR
     code_j), each word's bit count weighted by its site's multiplicity.
 
@@ -97,16 +97,19 @@ def hamming_kernel(codes: ActivationCodeMatrix) -> np.ndarray:
     word and one matrix-vector product of the counts with the per-word
     weights.  Only blocks from the diagonal on are computed, each
     mirrored into the lower triangle; large kernels split their row
-    blocks over the CPUs (see ``layers``).  Pad bits are 0 in every row,
-    so they XOR to 0, and every partial sum of a pair's weighted counts
-    is an integer in [0, N_A]: exact in any summation order in float32,
-    which the product runs in while N_A < 2^24, and in float64 above.
+    blocks over the CPUs (see ``layers``).  With ``upper=True`` nothing
+    is mirrored: the array holds K[i, j] for j >= i, the triangle that
+    ``logdet_score`` reads, and zeros below the diagonal.  Pad bits are
+    0 in every row, so they XOR to 0, and every partial sum of a pair's
+    weighted counts is an integer in [0, N_A]: exact in any summation
+    order in float32, which the product runs in while N_A < 2^24, and in
+    float64 above.
     """
     words = codes.words
     n, n_words = words.shape
     dtype = np.float32 if codes.n_units < 2 ** 24 else np.float64
     weights = np.repeat(np.array([m for _, m in codes.sites], dtype), [-(-u // 64) for u, _ in codes.sites])
-    out = np.empty((n, n), dtype=np.float64)
+    out = (np.zeros if upper else np.empty)((n, n), dtype=np.float64)
     # row pairs XORed per step, about half of one core's L2: a block of
     # rows (one row of long codes) against as many columns as fit.  Each
     # part's step buffers are live while the kernel is, so they stay small.
@@ -127,7 +130,11 @@ def hamming_kernel(codes: ActivationCodeMatrix) -> np.ndarray:
                 np.bitwise_xor(words[i:i1, None], words[None, k:k1], out=xor.reshape(i1 - i, k1 - k, n_words))
                 counts = np.bitwise_count(xor, out=count_buf[:len(xor)])
                 out[i:i1, k:k1] = (codes.n_units - counts @ weights).reshape(i1 - i, k1 - k)
-            out[i1:, i:i1] = out[i:i1, i1:].T
+            if upper:
+                for t in range(i + 1, i1):
+                    out[t, i:t] = 0
+            else:
+                out[i1:, i:i1] = out[i:i1, i1:].T
 
     _split((blocks + 1) // 2, 1, words.nbytes + out.nbytes, row_blocks,
            lambda start, stop: (np.empty((step, n_words), np.uint64), np.empty((step, n_words), dtype)))
@@ -143,25 +150,36 @@ def normalize_kernel(kernel: np.ndarray) -> np.ndarray:
     return kernel / scale
 
 
-def logdet_score(kernel: np.ndarray) -> Score:
+def logdet_score(kernel: np.ndarray, *, overwrite: bool = False) -> Score:
     """ln det K via Cholesky: 2 * sum(log diag(L)).
 
     LAPACK's ``dpotrf`` from numpy's own OpenBLAS factors one C-ordered
-    float64 copy of K in place (the caller's array is untouched) at one
-    BLAS thread (``layers._one_blas_thread``), so the bits do not depend
-    on the BLAS thread count.  It reads the upper triangle, the
-    K[i, j] with j >= i, which is the lower triangle of the copy read in
-    Fortran order; for a symmetric K both are K.  Where numpy's BLAS
-    lacks those symbols (other numpy builds), ``np.linalg.cholesky``
-    factors the same triangle, and the bits may then follow the BLAS
-    thread count.
+    float64 copy of K in place (by default the caller's array is
+    untouched) at one BLAS thread (``layers._one_blas_thread``), so the
+    bits do not depend on the BLAS thread count.  It reads only the upper
+    triangle, the K[i, j] with j >= i, which is the lower triangle of the
+    copy read in Fortran order; for a symmetric K both are K.  What lies
+    below the diagonal is never read, bar the check that every entry is
+    finite.
+    Where numpy's BLAS lacks those symbols (other numpy builds),
+    ``np.linalg.cholesky`` factors the same triangle, and the bits may
+    then follow the BLAS thread count.
+
+    With ``overwrite=True``, as scipy's ``overwrite_a``, a kernel that
+    already is a writeable C-ordered float64 array is factored itself,
+    not copied: its upper triangle then holds the factor, or part of it,
+    and the array should not be read again.  Any other kernel is copied
+    as by default.  The score is the same either way.
 
     A kernel that is numerically singular (the factor fails, or a factor
     diagonal underflows to zero) yields a SINGULAR score; non-finite
     kernel entries yield NON_FINITE.  An input that is not a square
     matrix raises ValueError.
     """
-    matrix = np.array(kernel, dtype=np.float64, order="C")
+    if overwrite:
+        matrix = np.require(kernel, np.float64, ("C", "W"))
+    else:
+        matrix = np.array(kernel, dtype=np.float64, order="C")
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"kernel must be a square matrix, got shape {matrix.shape}")
     if not np.isfinite(matrix).all():
@@ -208,7 +226,11 @@ def make_scorer(config: NetworkConfig, batch: np.ndarray) -> Callable[[Genotype]
     (a 7 MB im2col) saves ~9 ms of a ~160 ms score, yet on a 2-vCPU VM
     it won only 2 of 4 paired desk-wide-batch runs, raised set-up time
     in 3 of 4 and took ``make_scorer`` from ~2 to ~12 ms.  A piece it
-    does not keep is made per genotype.  It scores its own read-only
+    does not keep is made per genotype.  Per genotype it fills only the
+    kernel's upper triangle (``hamming_kernel(codes, upper=True)``) and
+    lets ``logdet_score`` factor that array in place (``overwrite=True``),
+    so the tail of a score holds one N x N array, not two, and mirrors
+    nothing that ln det would not read.  It scores its own read-only
     float32 copy of ``batch``, so later changes to the caller's array
     change no score.  A batch the network cannot take raises ValueError
     here.
@@ -233,6 +255,6 @@ def make_scorer(config: NetworkConfig, batch: np.ndarray) -> Callable[[Genotype]
             codes = forward_collect_codes(build_network(genotype, config, stream), batch, stem)
         except NonFiniteActivation:
             return Score.invalid(ScoreStatus.NON_FINITE)
-        return logdet_score(hamming_kernel(codes))
+        return logdet_score(hamming_kernel(codes, upper=True), overwrite=True)
 
     return scorer

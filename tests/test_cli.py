@@ -151,6 +151,13 @@ class TestSearchCommand:
         assert err == f"error: ValueError: --jobs must be at least 1, got {jobs}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_below_one_rejected(self, capsys, n):
+        code, out, err = run(capsys, "search", *DESK, "--n", n)
+        assert code == 1
+        assert err == "error: ValueError: --n must be at least 1\n"
+        assert out == ""
+
 
 class TestEvolutionCommands:
     def test_rea_budget_equals_population(self, capsys, tmp_path, full_bench_csv):

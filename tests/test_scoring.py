@@ -1,10 +1,12 @@
 import inspect
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import naswot.layers
 import naswot.network
 import naswot.scoring
 from naswot.benchdata import random_normal_batch
@@ -229,6 +231,53 @@ class TestLogdetFactor:
         mixed = np.triu(upper) + np.tril(lower, -1)
         assert logdet_score(mixed) == logdet_score(upper)
         assert logdet_score(mixed) != logdet_score(lower)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_KERNELS))
+    def test_overwrite_scores_edge_cases_as_a_copy(self, factor_path, name):
+        kernel = EDGE_KERNELS[name]
+        assert logdet_score(kernel.copy(order="K"), overwrite=True) == logdet_score(kernel)
+
+    def test_overwrite_scores_desk_kernels_as_a_copy(self, factor_path, desk_kernels):
+        for kernel in desk_kernels:
+            assert logdet_score(np.triu(kernel), overwrite=True) == logdet_score(kernel)
+            assert logdet_score(kernel.copy(), overwrite=True) == logdet_score(kernel)
+
+    @pytest.mark.parametrize("name", ["read-only", "fortran", "int64"])
+    def test_overwrite_copies_what_it_cannot_factor_in_place(self, factor_path, name):
+        kernel = {"read-only": spd(5, 10), "fortran": EDGE_KERNELS["fortran"].copy(order="F"),
+                  "int64": EDGE_KERNELS["int64"].copy()}[name]
+        if name == "read-only":
+            kernel.flags.writeable = False
+        before = kernel.copy(order="K")
+        score = logdet_score(kernel, overwrite=True)
+        assert score.is_valid and score == logdet_score(before)
+        assert kernel.dtype == before.dtype and kernel.strides == before.strides
+        assert np.array_equal(kernel, before)
+
+    def test_overwrite_flags_inf_in_the_upper_triangle(self, factor_path):
+        kernel = np.triu(spd(4, 11))
+        kernel[1, 3] = np.inf
+        assert logdet_score(kernel, overwrite=True).status is ScoreStatus.NON_FINITE
+
+    def test_scorer_tail_holds_one_kernel(self, monkeypatch):
+        """ln det of an upper-triangle kernel, factored in place, holds
+        one N x N float64 array at a time; by default it holds two."""
+        monkeypatch.setattr(naswot.layers, "_WORKERS", 2)
+        config = NetworkConfig.desk()
+        batch = random_normal_batch((1024, *config.input_shape), 0)
+        codes = forward_collect_codes(build_network(parse_arch(MIXED[0]), config), batch)
+        kernel_bytes = 8 * 1024 ** 2
+
+        def peak(tail) -> int:
+            tracemalloc.start()
+            try:
+                assert tail().is_valid
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: logdet_score(hamming_kernel(codes, upper=True), overwrite=True)) < 1.5 * kernel_bytes
+        assert peak(lambda: logdet_score(hamming_kernel(codes))) > 2 * kernel_bytes
 
 
 class TestNormalize:

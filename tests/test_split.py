@@ -285,18 +285,23 @@ class TestLayersSplit:
 
     # a step of 3 row pairs: one row at a time, in several column steps;
     # 2n + 1 and 5n + 1 pairs: blocks of 2 and 5 rows, odd block counts.
-    # A step holds half of _BLOCK_BYTES of row pairs.
+    # A step holds half of _BLOCK_BYTES of row pairs.  upper=True gives
+    # the upper triangle, zeros below it.
+    @pytest.mark.parametrize("upper", [False, True])
     @pytest.mark.parametrize("pairs_per_step", [lambda n: 3, lambda n: 2 * n + 1, lambda n: 5 * n + 1])
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 5, 64])
-    def test_hamming_kernel(self, monkeypatch, workers, n, pairs_per_step):
+    def test_hamming_kernel(self, monkeypatch, workers, n, pairs_per_step, upper):
         config = NetworkConfig.desk()
         codes = forward_collect_codes(build_network(sample_uniform(n), config),
                                       random_normal_batch((n, *config.input_shape), n))
         want = np.array([[np.sum(a != b) for b in unpack_codes(codes)] for a in unpack_codes(codes)])
+        want = codes.n_units - want
         split_into(monkeypatch, workers)
         monkeypatch.setattr(naswot.scoring, "_BLOCK_BYTES", 2 * codes.words[0].nbytes * pairs_per_step(n))
-        assert np.array_equal(hamming_kernel(codes), codes.n_units - want)
+        got = hamming_kernel(codes, upper=upper)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, np.triu(want) if upper else want)
 
 
 class TestForwardSplit:
